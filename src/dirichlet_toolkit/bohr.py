@@ -161,7 +161,6 @@ class SparseMultiPoly:
         out = {}
         for mono, c in self.terms.items():
             new = _canonical({sigma(i): e for i, e in mono})
-            nv = max([self.nvars] + [i for i, _ in new])
             out[new] = c
         nvars = max([self.nvars] + [i for m in out for i, _ in m])
         return SparseMultiPoly(nvars, out, self.mode)
@@ -453,6 +452,16 @@ def _polish(terms, variables, radii, theta0: np.ndarray) -> tuple[np.ndarray, fl
     return res.x, math.sqrt(max(-res.fun, 0.0)), bool(res.success)
 
 
+def _check_grid(grid_per_var: int, k: int, budget: int) -> None:
+    """Reject an empty phase grid and one of more than ``budget`` points."""
+    if grid_per_var < 1:
+        raise BudgetExceededError(f"grid must be >= 1, got {grid_per_var}")
+    if grid_per_var**k > budget:
+        raise BudgetExceededError(
+            f"grid {grid_per_var}^{k} exceeds the point budget {budget}"
+        )
+
+
 def torus_sup(
     p: SparseMultiPoly,
     radius: float = 1.0,
@@ -473,13 +482,10 @@ def torus_sup(
     pf = p.to_float()
     variables = pf.variables()
     k = len(variables)
+    _check_grid(grid_per_var, k, budget)
     const = abs(scalars.to_complex(pf.terms.get((), 0j)))
     if k == 0:
         return TorusSupResult(const, {}, {}, radius, True)
-    if grid_per_var < 1 or grid_per_var**k > budget:
-        raise BudgetExceededError(
-            f"grid {grid_per_var}^{k} exceeds the point budget {budget}"
-        )
     radii = {v: radius for v in variables}
     terms = list(pf.terms.items())
     vals = _grid_values(terms, variables, radii, grid_per_var)
@@ -545,12 +551,9 @@ def cauchy_coefficient(
     target = table.factor(n).as_dict()
     variables = sorted(set(pf.variables()) | set(target))
     k = len(variables)
+    _check_grid(grid_per_var, k, budget)
     if k == 0:
         return scalars.to_complex(pf.terms.get((), 0j))
-    if grid_per_var < 1 or grid_per_var**k > budget:
-        raise BudgetExceededError(
-            f"grid {grid_per_var}^{k} exceeds the point budget {budget}"
-        )
     if isinstance(radius, dict):
         radii = {v: float(radius.get(v, 0.5)) for v in variables}
     else:

@@ -34,7 +34,7 @@ class GroupTooLargeError(ToolkitError, ValueError):
 
 
 class BudgetExceededError(ToolkitError, ValueError):
-    """A grid evaluation would exceed the configured point budget."""
+    """A grid evaluation is empty or would exceed the configured point budget."""
 
 
 class NumericFailureError(ToolkitError, ArithmeticError):

@@ -46,21 +46,27 @@ class ExactComplex:
         raise TypeError(f"cannot coerce {value!r} to an exact complex scalar")
 
     def __add__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        return _exact(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        return _exact(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        if not (self.im or other.im):
+            # Real operands (zeta, Moebius, real_only builders): one product.
+            return _exact(self.re * other.re, self.im)
+        return _exact(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -68,11 +74,12 @@ class ExactComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = ExactComplex.coerce(other)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by exact zero")
-        return ExactComplex(
+        return _exact(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -105,7 +112,7 @@ class ExactComplex:
         return self.re != 0 or self.im != 0
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -118,6 +125,18 @@ class ExactComplex:
 
     def __repr__(self):
         return f"ExactComplex({self.re!s}, {self.im!s})"
+
+
+def _exact(re: Fraction, im: Fraction) -> ExactComplex:
+    """An ExactComplex from parts that are already Fractions.
+
+    Arithmetic results take this path: it skips the Fraction re-wrap and
+    the immutability guard of the public constructor.
+    """
+    z = object.__new__(ExactComplex)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
 
 
 def check_mode(mode: str) -> str:
@@ -144,8 +163,6 @@ def coerce(value, mode: str):
     """Coerce a Python value into the scalar domain of the given mode."""
     if mode == EXACT:
         return ExactComplex.coerce(value)
-    if isinstance(value, ExactComplex):
-        return complex(value)
     return complex(value)
 
 
@@ -156,8 +173,6 @@ def is_zero(value) -> bool:
 
 
 def to_complex(value) -> complex:
-    if isinstance(value, ExactComplex):
-        return complex(value)
     return complex(value)
 
 

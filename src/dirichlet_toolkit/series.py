@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from . import scalars
 from .errors import NotInvertibleError
@@ -125,17 +126,25 @@ class TruncatedDirichletSeries:
         return self.add(other.scale(-1))
 
     def mul(self, other: "TruncatedDirichletSeries"):
-        """Dirichlet convolution over stored support pairs."""
+        """Dirichlet convolution c_n = sum over d e = n of a_d b_e, on the window.
+
+        The right support is sorted once; for each d of the left operand, in
+        its insertion order, the pass over it stops at the first e > w // d,
+        so only products inside the window are formed: O(N log N) pairs on
+        dense inputs instead of |a| |b|.  Each c_n receives at most one term
+        per d, in the order of the left operand, whatever the order of the
+        right one.
+        """
         scalars.require_same_mode(self.mode, other.mode)
         w = min(self.window, other.window)
+        right = sorted(other.coeffs.items())
         out: dict = {}
         for d, a in self.coeffs.items():
-            if d > w:
-                continue
-            for e, b in other.coeffs.items():
+            limit = w // d
+            for e, b in right:
+                if e > limit:
+                    break
                 n = d * e
-                if n > w:
-                    continue
                 prod = a * b
                 if n in out:
                     out[n] = out[n] + prod
@@ -146,44 +155,44 @@ class TruncatedDirichletSeries:
     __mul__ = mul
 
     def invert(self, tolerance: float = 1e-12):
-        """Convolution inverse on the window.
+        """Convolution inverse on the window, by a forward divisor push.
 
-        Uses the divisor recursion b_1 = 1/a_1,
-        b_n = -(1/a_1) * sum over d | n, d > 1 of a_d b_{n/d},
-        restricted to the multiplicative closure of the support.
+        With b_1 = 1/a_1, the recursion b_n = -(1/a_1) * sum over d | n,
+        d > 1 of a_d b_{n/d} is run forwards: once b_m is final, a_d b_m
+        is added to an accumulator at m d for every tail index d <= N // m.
+        Indices are taken in increasing order from a heap of those reached
+        so far, so every contribution to b_n has arrived before b_n is read.
+        The work is one product per (nonzero b_m, tail index d <= N // m)
+        pair, set by the multiplicative closure of the support and not by
+        the window.  Exact results do not depend on the order of the sum;
+        float results may differ from another order in the last bits.
         """
         a1 = self.coeffs.get(1)
         if a1 is None or (self.mode == FLOAT and abs(a1) <= tolerance):
             raise NotInvertibleError("leading coefficient a_1 vanishes")
         inv_a1 = scalars.one(self.mode) / a1 if self.mode == EXACT else 1.0 / a1
-        tail = {n: c for n, c in self.coeffs.items() if n > 1}
-        # Multiplicative closure of the tail support within the window: the
-        # only indices where the inverse can be nonzero.
-        closure = {1}
-        frontier = [1]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for d in tail:
-                    nd = m * d
-                    if nd <= self.window and nd not in closure:
-                        closure.add(nd)
-                        nxt.append(nd)
-            frontier = nxt
-        b = {1: inv_a1}
-        for n in sorted(closure):
-            if n == 1:
+        tail = sorted(self.coeffs.items())[1:]  # a_1 is present and sorts first
+        w = self.window
+        b = {}
+        acc = {}
+        heap = [1]
+        while heap:
+            m = heappop(heap)
+            bm = inv_a1 if m == 1 else -(inv_a1 * acc.pop(m))
+            if scalars.is_zero(bm):
                 continue
-            acc = scalars.zero(self.mode)
-            for d, ad in tail.items():
-                if n % d == 0:
-                    bq = b.get(n // d)
-                    if bq is not None:
-                        acc = acc + ad * bq
-            val = -(inv_a1 * acc)
-            if not scalars.is_zero(val):
-                b[n] = val
-        return TruncatedDirichletSeries(self.window, b, self.mode)
+            b[m] = bm
+            limit = w // m
+            for d, ad in tail:
+                if d > limit:
+                    break
+                n = m * d
+                if n in acc:
+                    acc[n] = acc[n] + ad * bm
+                else:
+                    acc[n] = ad * bm
+                    heappush(heap, n)
+        return TruncatedDirichletSeries(w, b, self.mode)
 
     def dilate(self, r, table: PrimeTable):
         """Multiply each coefficient by r^Omega(n)."""

@@ -19,7 +19,6 @@ from .builders import (
     random_permutation,
     random_series,
     random_support_series,
-    random_unit,
 )
 from .group import (
     PermutationGroup,

@@ -174,3 +174,11 @@ def test_analyze_perron_and_cauchy(tmp_path):
         ["analyze", "cauchy", str(f), "--n", "5", "--grid", "4", "--r", "0.5", "--out", str(out2)]
     ) == 0
     assert read_json(out2)["value"][0] == pytest.approx(3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("build", [["zeta", "--window", "8"], ["monomial", "1", "2"]])
+def test_analyze_torus_sup_rejects_empty_grid(tmp_path, capsys, build):
+    f = tmp_path / "f.json"
+    run(["build", *build, "--out", str(f)])
+    assert run(["analyze", "torus-sup", str(f), "--grid", "0", "--out", str(tmp_path / "t.json")]) == 3
+    assert "grid must be >= 1, got 0" in capsys.readouterr().err

@@ -6,6 +6,7 @@ code with the divisor recursion.
 """
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,79 @@ def test_zeta_inverse_is_mobius():
     mu = zeta.invert()
     for n in range(1, 129):
         assert mu.coefficient(n) == ExactComplex(mobius(n))
+
+
+def test_zeta_inverse_is_mobius_float():
+    mu = TruncatedDirichletSeries.zeta(1024, FLOAT).invert()
+    assert max(abs(mu.coefficient(n) - mobius(n)) for n in range(1, 1025)) <= 1e-12
+
+
+def random_float_coeffs(rng, window, density):
+    coeffs = {1: 1.0 + 0j}
+    for n in range(2, window + 1):
+        if rng.random() < density:
+            coeffs[n] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return coeffs
+
+
+def float_divisor_sums(window, term):
+    """Dense loops: (sum over d | n of term(d, n // d), same sum of |terms|)."""
+    sums, scales = {}, {}
+    for n in range(1, window + 1):
+        acc, scale = 0j, 0.0
+        for d in range(1, n + 1):
+            if n % d == 0:
+                t = term(d, n // d)
+                acc += t
+                scale += abs(t)
+        sums[n], scales[n] = acc, scale
+    return sums, scales
+
+
+def test_float_mul_matches_brute_convolution():
+    rng = random.Random(11)
+    window = 512
+    a = random_float_coeffs(rng, window, 0.5)
+    b = random_float_coeffs(rng, window, 0.5)
+    got = TruncatedDirichletSeries(window, a, FLOAT) * TruncatedDirichletSeries(window, b, FLOAT)
+    want, scale = float_divisor_sums(window, lambda d, e: a.get(d, 0j) * b.get(e, 0j))
+    for n in range(1, window + 1):
+        assert abs(got.coeffs.get(n, 0j) - want[n]) <= 1e-12 * scale[n]
+
+
+def test_float_inverse_matches_triangular_solve():
+    rng = random.Random(12)
+    window = 256
+    a = random_float_coeffs(rng, window, 0.5)
+    inv = TruncatedDirichletSeries(window, a, FLOAT).invert()
+    b = {1: 1.0 + 0j}
+    for n in range(2, window + 1):
+        b[n] = -sum(a.get(d, 0j) * b[n // d] for d in range(2, n + 1) if n % d == 0)
+    # (a * inv)_n cancels to [n == 1]; its size is set by the terms |a_d b_{n/d}|.
+    _, scale = float_divisor_sums(window, lambda d, e: a.get(d, 0j) * b[e])
+    for n in range(1, window + 1):
+        assert abs(inv.coeffs.get(n, 0j) - b[n]) <= 1e-12 * max(scale[n], abs(b[n]))
+
+
+def descending(f):
+    """The same series with its coefficients inserted in descending index order."""
+    return TruncatedDirichletSeries(f.window, dict(sorted(f.coeffs.items(), reverse=True)), f.mode)
+
+
+@settings(max_examples=30, deadline=None)
+@given(series_strategy(), series_strategy())
+def test_exact_kernels_ignore_insertion_order(f, g):
+    assert descending(f) * descending(g) == brute_convolution(f, g, WINDOW)
+    assert descending(f) * g == f * descending(g) == f * g
+    coeffs = dict(f.coeffs)
+    coeffs[1] = ExactComplex(2, 1)
+    u = TruncatedDirichletSeries(WINDOW, coeffs, EXACT)
+    assert descending(u).invert() == brute_inverse(u, WINDOW)
+
+
+def test_invert_cost_follows_the_closure_not_the_window():
+    inv = TruncatedDirichletSeries(10**7, {1: 1, 2: 1}).invert()
+    assert inv.coeffs == {2**k: ExactComplex((-1) ** k) for k in range(24)}
 
 
 def test_invert_requires_unit():
