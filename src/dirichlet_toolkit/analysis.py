@@ -19,6 +19,8 @@ from .primes import PrimeTable
 from .series import TruncatedDirichletSeries
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+_REFINE_CANDIDATES = 5  # best grid points that line_sup refines
+_CHUNK = 200_000  # t samples per matrix product in line_sup
 
 
 def _coeff_arrays(f: TruncatedDirichletSeries):
@@ -36,18 +38,6 @@ def partial_sum(f: TruncatedDirichletSeries, s: complex) -> complex:
     for n, c in f.coeffs.items():
         total += scalars.to_complex(c) * complex(np.exp(-s * math.log(n)))
     return total
-
-
-def partial_sum_on_line(
-    f: TruncatedDirichletSeries, sigma: float, ts: np.ndarray
-) -> np.ndarray:
-    """Vectorized |partial sums| are built from this: values at sigma + i t."""
-    ns, cs = _coeff_arrays(f)
-    if len(ns) == 0:
-        return np.zeros(len(ts), dtype=np.complex128)
-    logn = np.log(ns)
-    weights = cs * ns**-sigma
-    return np.exp(-1j * np.outer(ts, logn)) @ weights
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
@@ -93,9 +83,6 @@ def line_sup(
     sigma: float = 0.0,
     T: float = 100.0,
     samples: int = 20_000,
-    refine: bool = True,
-    refine_candidates: int = 5,
-    chunk: int = 200_000,
 ) -> LineSupReport:
     """Max of |sum a_n n^{-sigma-it}| over a uniform t-grid in [-T, T].
 
@@ -112,27 +99,26 @@ def line_sup(
 
     ts = np.linspace(-T, T, samples)
     best: list[tuple[float, float]] = []  # (value, t), kept sorted desc
-    for start in range(0, samples, chunk):
-        sub = ts[start : start + chunk]
+    for start in range(0, samples, _CHUNK):
+        sub = ts[start : start + _CHUNK]
         vals = np.abs(np.exp(-1j * np.outer(sub, logn)) @ weights)
-        order = np.argsort(vals)[::-1][:refine_candidates]
+        order = np.argsort(vals)[::-1][:_REFINE_CANDIDATES]
         best.extend((float(vals[i]), float(sub[i])) for i in order)
     best.sort(key=lambda vt: (-vt[0], vt[1]))
-    best = best[:refine_candidates]
+    best = best[:_REFINE_CANDIDATES]
 
     sup_val, sup_t = best[0]
-    if refine:
-        step = ts[1] - ts[0]
+    step = ts[1] - ts[0]
 
-        def magnitude(t: float) -> float:
-            return abs(np.dot(weights, np.exp(-1j * t * logn)))
+    def magnitude(t: float) -> float:
+        return abs(np.dot(weights, np.exp(-1j * t * logn)))
 
-        for val, t0 in best:
-            t_star, v_star = _golden_max(
-                magnitude, max(-T, t0 - step), min(T, t0 + step)
-            )
-            if v_star > sup_val:
-                sup_val, sup_t = v_star, t_star
+    for val, t0 in best:
+        t_star, v_star = _golden_max(
+            magnitude, max(-T, t0 - step), min(T, t0 + step)
+        )
+        if v_star > sup_val:
+            sup_val, sup_t = v_star, t_star
     return LineSupReport(sigma, T, samples, float(sup_val), float(sup_t))
 
 
@@ -221,7 +207,6 @@ def seminorm_Pr(
 class SeminormProfile:
     r_grid: list[float]
     values: list[float]
-    method: str = "torus"
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.r_grid, self.r_grid[1:])):

@@ -9,7 +9,6 @@ Cauchy/DFT coefficient recovery.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -186,25 +185,25 @@ class SparseMultiPoly:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        mode = scalars.check_mode(doc.get("mode", FLOAT))
+        mode, nvars, items = scalars.json_fields(
+            doc, "polynomial", mode=str, nvars=int, terms=list
+        )
+        mode = scalars.check_mode(mode)
         terms = {}
-        for item in doc["terms"]:
-            mono = _canonical({int(i): e for i, e in item["exp"].items()})
-            terms[mono] = scalars.scalar_from_json(item["c"], mode)
-        return cls(int(doc["nvars"]), terms, mode)
+        for k, item in enumerate(items):
+            exp, c = scalars.json_fields(item, f"term {k}", exp=dict, c=list)
+            if not all(type(e) is int for e in exp.values()):
+                raise ValueError(f"term {k}: exponents must be integers, got {exp!r}")
+            mono = _canonical({int(i): e for i, e in exp.items()})
+            terms[mono] = scalars.scalar_from_json(c, mode, f"term {k}")
+        return cls(nvars, terms, mode)
 
     def save(self, path, provenance=None) -> None:
-        doc = self.to_json_dict()
-        if provenance is not None:
-            doc["provenance"] = provenance
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        scalars._write_json(self.to_json_dict(), path, provenance)
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(scalars._read_json(path))
 
 
 @dataclass

@@ -69,10 +69,6 @@ def _parse_scalar(text: str, mode: str):
     return complex(text)
 
 
-def _load_series(path: str) -> TruncatedDirichletSeries:
-    return TruncatedDirichletSeries.load(path)
-
-
 def _parse_r_grid(spec: str) -> list[float]:
     lo, hi, count = spec.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
@@ -86,22 +82,25 @@ def _parse_r_grid(spec: str) -> list[float]:
 
 def cmd_build(args, argv) -> int:
     mode = args.mode
+    window = 16 if args.window is None else args.window
     if args.kind == "zeta":
-        f = TruncatedDirichletSeries.zeta(args.window, mode)
+        f = TruncatedDirichletSeries.zeta(window, mode)
     elif args.kind == "unit":
-        f = TruncatedDirichletSeries.unit(args.window, mode)
+        f = TruncatedDirichletSeries.unit(window, mode)
     elif args.kind == "monomial":
         if len(args.params) != 2:
             raise ValueError("build monomial needs: n c")
         n = int(args.params[0])
         c = _parse_scalar(args.params[1], mode)
-        f = TruncatedDirichletSeries.monomial(n, c, max(args.window, n), mode)
+        f = TruncatedDirichletSeries.monomial(n, c, max(window, n), mode)
     elif args.kind == "random":
-        f = random_series(args.window, args.seed, args.density, mode)
+        f = random_series(window, args.seed, args.density, mode)
     elif args.kind == "file":
         if len(args.params) != 1:
             raise ValueError("build file needs a path")
-        f = _load_series(args.params[0]).truncate(args.window) if args.window else _load_series(args.params[0])
+        f = TruncatedDirichletSeries.load(args.params[0])
+        if args.window is not None:
+            f = f.truncate(args.window)
     else:
         raise ValueError(f"unknown build kind {args.kind!r}")
     f.save(args.out, provenance={"argv": argv})
@@ -119,47 +118,40 @@ def _group_from_args(args) -> PermutationGroup:
 
 def cmd_op(args, argv) -> int:
     name = args.name
-    prov = {"argv": argv}
-    if name == "add":
-        a, b = (_load_series(p) for p in args.inputs)
-        a.add(b).save(args.out, provenance=prov)
-    elif name == "mul":
-        a, b = (_load_series(p) for p in args.inputs)
-        a.mul(b).save(args.out, provenance=prov)
-    elif name == "invert":
-        (a,) = (_load_series(p) for p in args.inputs)
-        a.invert().save(args.out, provenance=prov)
-    elif name == "dilate":
-        (a,) = (_load_series(p) for p in args.inputs)
-        r = _parse_scalar(args.r, a.mode)
-        a.dilate(r, _table_for(a.window)).save(args.out, provenance=prov)
-    elif name == "lift":
-        (a,) = (_load_series(p) for p in args.inputs)
-        bohr.bohr_lift(a, _table_for(a.window)).save(args.out, provenance=prov)
-    elif name == "drop":
+    arity = 2 if name in ("add", "mul") else 1
+    if len(args.inputs) != arity:
+        raise ValueError(f"op {name} needs {arity} input file(s), got {len(args.inputs)}")
+    if name == "drop":
         p = bohr.SparseMultiPoly.load(args.inputs[0])
-        table = _table_for(args.window or 1_000_000)
-        bohr.bohr_drop(p, table).save(args.out, provenance=prov)
-    elif name == "act":
-        (a,) = (_load_series(p) for p in args.inputs)
-        sigma = FiniteSupportPermutation.from_cycles(args.perm or "")
-        act(sigma, a, _table_for(a.window)).save(args.out, provenance=prov)
-    elif name == "project":
-        (a,) = (_load_series(p) for p in args.inputs)
-        grp = _group_from_args(args)
-        project_invariant(a, grp, _table_for(a.window), policy=args.policy).save(
-            args.out, provenance=prov
-        )
-    elif name == "restrict":
-        (a,) = (_load_series(p) for p in args.inputs)
-        indices = {int(tok) for tok in args.indices.split(",")}
-        phi_restrict(a, indices, _table_for(a.window)).save(args.out, provenance=prov)
-    elif name == "average":
-        (a,) = (_load_series(p) for p in args.inputs)
-        grp = _group_from_args(args)
-        group_average(a, grp, _table_for(a.window)).save(args.out, provenance=prov)
+        out = bohr.bohr_drop(p, _table_for(args.window or 1_000_000))
     else:
-        raise ValueError(f"unknown op {name!r}")
+        series = [TruncatedDirichletSeries.load(path) for path in args.inputs]
+        a = series[0]
+        if name == "add":
+            out = a.add(series[1])
+        elif name == "mul":
+            out = a.mul(series[1])
+        elif name == "invert":
+            out = a.invert()
+        elif name == "dilate":
+            r = _parse_scalar(args.r, a.mode)
+            out = a.dilate(r, _table_for(a.window))
+        elif name == "lift":
+            out = bohr.bohr_lift(a, _table_for(a.window))
+        elif name == "act":
+            sigma = FiniteSupportPermutation.from_cycles(args.perm or "")
+            out = act(sigma, a, _table_for(a.window))
+        elif name == "project":
+            grp = _group_from_args(args)
+            out = project_invariant(a, grp, _table_for(a.window), policy=args.policy)
+        elif name == "restrict":
+            indices = {int(tok) for tok in args.indices.split(",")}
+            out = phi_restrict(a, indices, _table_for(a.window))
+        elif name == "average":
+            out = group_average(a, _group_from_args(args), _table_for(a.window))
+        else:
+            raise ValueError(f"unknown op {name!r}")
+    out.save(args.out, provenance={"argv": argv})
     return 0
 
 
@@ -183,7 +175,7 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
-    f = _load_series(args.input)
+    f = TruncatedDirichletSeries.load(args.input)
     table = _table_for(f.window)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     if args.kind == "torus-sup":
@@ -255,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a series file")
     b.add_argument("kind", choices=["zeta", "unit", "monomial", "random", "file"])
     b.add_argument("params", nargs="*", help="kind-specific parameters")
-    b.add_argument("--window", type=int, default=16)
+    b.add_argument("--window", type=int, help="default 16; build file keeps the file's window")
     b.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--density", type=float, default=0.2)
@@ -313,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--R", type=float, default=2000.0)
     a.add_argument("--steps", type=int, default=40_000)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--parallel", type=int, default=1, help="accepted for compatibility; grid evaluation is vectorized")
     a.add_argument("--out", default=None)
     a.set_defaults(func=cmd_analyze)
 

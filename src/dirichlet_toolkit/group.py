@@ -232,10 +232,6 @@ class PermutationGroup:
 # -- the completely multiplicative action ---------------------------------
 
 
-def _apply_to_exponents(sigma, exponents: dict[int, int]) -> dict[int, int]:
-    return {sigma(i): e for i, e in exponents.items()}
-
-
 def _vector_value(exponents: dict[int, int], table: PrimeTable, ceiling: int) -> int:
     n = 1
     for i, e in sorted(exponents.items()):
@@ -254,7 +250,7 @@ def hat_apply(
 ) -> int:
     """sigma_hat(n) = prod p_{sigma(i)}^{e_i} for n = prod p_i^{e_i}."""
     vec = table.factor(n).as_dict()
-    return _vector_value(_apply_to_exponents(sigma, vec), table, ceiling)
+    return _vector_value({sigma(i): e for i, e in vec.items()}, table, ceiling)
 
 
 def act(
@@ -278,6 +274,13 @@ def act(
 
 
 # -- orbit machinery ------------------------------------------------------
+
+
+def _images(generators, exponents: dict[int, int]):
+    """Yield (g, image) for the exponent vector moved by each generator g and by g^-1."""
+    for g in generators:
+        yield g, {g(i): e for i, e in exponents.items()}
+        yield g, {g.inv(i): e for i, e in exponents.items()}
 
 
 @dataclass(frozen=True)
@@ -325,23 +328,20 @@ def integer_orbit(
     while frontier:
         nxt = []
         for vec in frontier:
-            d = dict(vec)
-            for g in generators:
-                for apply_dir in (lambda i, g=g: g(i), lambda i, g=g: g.inv(i)):
-                    image = {apply_dir(i): e for i, e in d.items()}
-                    key = tuple(sorted(image.items()))
-                    if key in seen:
-                        continue
-                    try:
-                        value = _vector_value(image, table, min(bound, ceiling))
-                    except (ProductCeilingError, TableTooSmallError):
-                        status = "unresolved"
-                        continue
-                    if value > bound:
-                        status = "unresolved"
-                        continue
-                    seen.add(key)
-                    nxt.append(key)
+            for _, image in _images(generators, dict(vec)):
+                key = tuple(sorted(image.items()))
+                if key in seen:
+                    continue
+                try:
+                    value = _vector_value(image, table, min(bound, ceiling))
+                except (ProductCeilingError, TableTooSmallError):
+                    status = "unresolved"
+                    continue
+                if value > bound:
+                    status = "unresolved"
+                    continue
+                seen.add(key)
+                nxt.append(key)
         frontier = nxt
     members = sorted(_vector_value(dict(vec), table, ceiling) for vec in seen)
     return IntegerOrbit(n, tuple(members), status, bound)
@@ -540,24 +540,21 @@ def is_invariant(
     while frontier:
         nxt = []
         for n in frontier:
-            for g in gens:
-                for apply_dir in (lambda i, g=g: g(i), lambda i, g=g: g.inv(i)):
-                    vec = table.factor(n).as_dict()
-                    image_vec = {apply_dir(i): e for i, e in vec.items()}
-                    try:
-                        m = _vector_value(image_vec, table, ceiling)
-                    except (ProductCeilingError, TableTooSmallError):
-                        escaped = True
-                        continue
-                    if m > f.window:
-                        escaped = True
-                        continue
-                    checked += 1
-                    if f.coeffs.get(n, zero) != f.coeffs.get(m, zero):
-                        return InvarianceReport("violated", (n, g), checked, escaped)
-                    if m not in closure:
-                        closure.add(m)
-                        nxt.append(m)
+            for g, image_vec in _images(gens, table.factor(n).as_dict()):
+                try:
+                    m = _vector_value(image_vec, table, ceiling)
+                except (ProductCeilingError, TableTooSmallError):
+                    escaped = True
+                    continue
+                if m > f.window:
+                    escaped = True
+                    continue
+                checked += 1
+                if f.coeffs.get(n, zero) != f.coeffs.get(m, zero):
+                    return InvarianceReport("violated", (n, g), checked, escaped)
+                if m not in closure:
+                    closure.add(m)
+                    nxt.append(m)
         frontier = nxt
     status = "inconclusive" if escaped else "invariant"
     return InvarianceReport(status, None, checked, escaped)

@@ -119,15 +119,3 @@ class PrimeTable:
 
 def sieve(bound: int) -> PrimeTable:
     return PrimeTable(bound)
-
-
-def factor(table: PrimeTable, n: int) -> Factorization:
-    return table.factor(n)
-
-
-def omega(table: PrimeTable, n: int) -> int:
-    return table.omega(n)
-
-
-def semigroup_member(table: PrimeTable, n: int, index_set) -> bool:
-    return table.semigroup_member(n, index_set)

@@ -7,6 +7,8 @@ Modes never mix within one series.
 
 from __future__ import annotations
 
+import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -183,8 +185,45 @@ def scalar_to_json(value):
     return [value.real, value.imag]
 
 
-def scalar_from_json(pair, mode: str):
-    re, im = pair
-    if mode == EXACT:
-        return ExactComplex(Fraction(re), Fraction(im))
-    return complex(float(re), float(im))
+def scalar_from_json(pair, mode: str, where: str):
+    """Parse an [re, im] pair; ValueError naming ``where`` unless both parts are finite."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"{where}: expected an [re, im] pair, got {pair!r}")
+    try:
+        if mode == EXACT:
+            return ExactComplex(Fraction(pair[0]), Fraction(pair[1]))
+        value = complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{where}: cannot parse {pair!r} ({exc})") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"{where}: non-finite value {pair!r}")
+    return value
+
+
+def json_fields(doc, where: str, **types) -> tuple:
+    """The named fields of a JSON object, each checked to have the given type."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    values = []
+    for key, kind in types.items():
+        if key not in doc:
+            raise ValueError(f"{where}: missing field {key!r}")
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}")
+        values.append(value)
+    return tuple(values)
+
+
+def _write_json(doc: dict, path, provenance=None) -> None:
+    """Write a series or polynomial document, adding the provenance field if given."""
+    if provenance is not None:
+        doc["provenance"] = provenance
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)

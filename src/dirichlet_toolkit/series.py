@@ -8,7 +8,6 @@ so truncation commutes with the algebra maps.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -205,13 +204,14 @@ class TruncatedDirichletSeries:
         return TruncatedDirichletSeries(self.window, out, self.mode)
 
     def truncate(self, window: int):
+        """Set the window to ``window``, keeping the coefficients that fall inside it.
+
+        A larger window keeps every coefficient; a smaller one drops the
+        indices above it.
+        """
         return TruncatedDirichletSeries(
             window, {n: c for n, c in self.coeffs.items() if n <= window}, self.mode
         )
-
-    def with_window(self, window: int):
-        """Enlarge (or shrink) the window, keeping in-range coefficients."""
-        return self.truncate(window)
 
     def to_float(self):
         if self.mode == FLOAT:
@@ -249,26 +249,22 @@ class TruncatedDirichletSeries:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        mode = scalars.check_mode(doc["mode"])
+        mode, window, coeffs = scalars.json_fields(
+            doc, "series", mode=str, window=int, coeffs=dict
+        )
+        mode = scalars.check_mode(mode)
         coeffs = {
-            int(n): scalars.scalar_from_json(pair, mode)
-            for n, pair in doc["coeffs"].items()
+            int(n): scalars.scalar_from_json(pair, mode, f"coefficient {n}")
+            for n, pair in coeffs.items()
         }
-        return cls(int(doc["window"]), coeffs, mode)
+        return cls(window, coeffs, mode)
 
     def save(self, path, provenance=None) -> None:
-        doc = self.to_json_dict()
-        if provenance is not None:
-            doc["provenance"] = provenance
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        scalars._write_json(self.to_json_dict(), path, provenance)
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
+        return cls.from_json_dict(scalars._read_json(path))
 
 def one(window: int, mode: str = EXACT) -> TruncatedDirichletSeries:
     return TruncatedDirichletSeries.unit(window, mode)

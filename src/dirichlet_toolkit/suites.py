@@ -128,8 +128,8 @@ def suite_prop31a(seed: int = 42, trials: int = 100) -> SuiteResult:
         tau = random_permutation(6, s + 4)
         u = random_support_series(pool, s + 5, 6)
         v = random_support_series(pool, s + 6, 6)
-        u = u.with_window(30_000)
-        v = v.with_window(30_000)
+        u = u.truncate(30_000)
+        v = v.truncate(30_000)
         if act(sigma * tau, u, table) != act(sigma, act(tau, u, table), table):
             _fail(result, "composition", {"seed": s}, "S_{st} == S_s S_t", "mismatch")
         if act(sigma, u * v, table) != act(sigma, u, table) * act(sigma, v, table):
@@ -157,7 +157,7 @@ def suite_thm17(seed: int = 42, trials: int = 60) -> SuiteResult:
         s = rng.randrange(1 << 30)
         name, grp = groups[k % len(groups)]
         inputs = {"seed": s, "group": name}
-        g = random_support_series(pool, s, 6, real_only=True).with_window(_PROJ_BOUND)
+        g = random_support_series(pool, s, 6, real_only=True).truncate(_PROJ_BOUND)
         pg = project_invariant(g, grp, table)
         if project_invariant(pg, grp, table) != pg:
             _fail(result, "idempotent", inputs, "pi(pi g) == pi g", "mismatch")
@@ -166,7 +166,7 @@ def suite_thm17(seed: int = 42, trials: int = 60) -> SuiteResult:
         rep = is_invariant(pg, grp, table)
         if rep.status != "invariant":
             _fail(result, "range", inputs, "invariant", rep.status)
-        h = random_support_series(pool, s + 1, 5).with_window(_PROJ_BOUND)
+        h = random_support_series(pool, s + 1, 5).truncate(_PROJ_BOUND)
         f_inv = project_invariant(h, grp, table)
         if project_invariant(f_inv * g, grp, table) != f_inv * project_invariant(
             g, grp, table
@@ -192,7 +192,7 @@ def suite_lemma64(seed: int = 42, trials: int = 60) -> SuiteResult:
     for k in range(trials):
         s = rng.randrange(1 << 30)
         name, grp = groups[k % len(groups)]
-        f = random_support_series(pool, s, 7).with_window(_PROJ_BOUND)
+        f = random_support_series(pool, s, 7).truncate(_PROJ_BOUND)
         if group_average(f, grp, table) != project_invariant(f, grp, table):
             _fail(
                 result,
@@ -355,8 +355,8 @@ def suite_prop61(seed: int = 42, trials: int = 40) -> SuiteResult:
     nested = [{1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, 5}]
     for _ in range(trials):
         s = rng.randrange(1 << 30)
-        f = random_support_series(pool, s, 6).with_window(30_000)
-        g = random_support_series(pool, s + 1, 6).with_window(30_000)
+        f = random_support_series(pool, s, 6).truncate(30_000)
+        g = random_support_series(pool, s + 1, 6).truncate(30_000)
         idx = set(rng.sample(range(1, 6), rng.randint(1, 4)))
         lhs = phi_restrict(f * g, idx, table)
         rhs = phi_restrict(f, idx, table) * phi_restrict(g, idx, table)
@@ -399,7 +399,7 @@ def suite_lemma91(seed: int = 42, trials: int = 40) -> SuiteResult:
     for k in range(trials):
         s = rng.randrange(1 << 30)
         name, grp = groups[k % len(groups)]
-        h = random_support_series(pool, s, 4).with_window(512)
+        h = random_support_series(pool, s, 4).truncate(512)
         body = project_invariant(h, grp, table).truncate(512)
         coeffs = dict(body.coeffs)
         coeffs.pop(1, None)
@@ -551,7 +551,3 @@ def run_suite(name: str, seed: int = 42, trials: int | None = None, **kwargs) ->
     if trials is None:
         return fn(seed=seed, **kwargs)
     return fn(seed=seed, trials=trials, **kwargs)
-
-
-def run_all(seed: int = 42, trials: int | None = None) -> list[SuiteResult]:
-    return [run_suite(name, seed=seed, trials=trials) for name in SUITES]

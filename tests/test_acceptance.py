@@ -94,8 +94,8 @@ def test_criterion_04_bohr_isomorphism():
     for i in range(100):
         # supports whose pairwise products stay inside the window, so the
         # product is untruncated and the lift comparison is exact
-        f = random_support_series(pool, SEED + i, 5).with_window(30_000)
-        g = random_support_series(pool, 7 * SEED + i, 5).with_window(30_000)
+        f = random_support_series(pool, SEED + i, 5).truncate(30_000)
+        g = random_support_series(pool, 7 * SEED + i, 5).truncate(30_000)
         if bohr_lift(f * g, table).terms != bohr_lift(f, table).mul(bohr_lift(g, table)).terms:
             homo += 1
         r = Fraction(i % 7 + 1, i % 5 + 2)

@@ -49,6 +49,24 @@ def test_build_usage_error(tmp_path):
     assert run(["build", "monomial", "5", "--out", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("window", [4, 64])
+def test_build_file_keeps_the_window(tmp_path, window):
+    src, out = tmp_path / "z.json", tmp_path / "copy.json"
+    run(["build", "zeta", "--window", str(window), "--out", str(src)])
+    assert run(["build", "file", str(src), "--out", str(out)]) == 0
+    f = TruncatedDirichletSeries.load(out)
+    assert f.window == window and len(f) == window
+
+
+@pytest.mark.parametrize("window", [10, 40])
+def test_build_file_applies_an_explicit_window(tmp_path, window):
+    src, out = tmp_path / "z.json", tmp_path / "copy.json"
+    run(["build", "zeta", "--window", "20", "--out", str(src)])
+    assert run(["build", "file", str(src), "--window", str(window), "--out", str(out)]) == 0
+    f = TruncatedDirichletSeries.load(out)
+    assert f.window == window and f.support() == list(range(1, min(window, 20) + 1))
+
+
 # -- op -------------------------------------------------------------------
 
 
@@ -105,6 +123,14 @@ def test_op_project_needs_gens(tmp_path):
     f = tmp_path / "f.json"
     run(["build", "zeta", "--window", "4", "--out", str(f)])
     assert run(["op", "project", str(f), "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("op, count", [("mul", 1), ("add", 3), ("invert", 2), ("drop", 2)])
+def test_op_wrong_input_count_exits_2(tmp_path, capsys, op, count):
+    f = tmp_path / "f.json"
+    run(["build", "zeta", "--window", "4", "--out", str(f)])
+    assert run(["op", op, *[str(f)] * count, "--out", str(tmp_path / "o.json")]) == 2
+    assert f"op {op} needs" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -182,3 +208,30 @@ def test_analyze_torus_sup_rejects_empty_grid(tmp_path, capsys, build):
     run(["build", *build, "--out", str(f)])
     assert run(["analyze", "torus-sup", str(f), "--grid", "0", "--out", str(tmp_path / "t.json")]) == 3
     assert "grid must be >= 1, got 0" in capsys.readouterr().err
+
+
+# -- malformed series files -----------------------------------------------
+
+_EXACT_ONE = {"window": 4, "mode": "exact"}
+_FLOAT_NAN = {"window": 4, "mode": "float", "coeffs": {"1": [1.0, 0.0], "3": [float("nan"), 0.0]}}
+
+
+@pytest.mark.parametrize(
+    "doc, command, message",
+    [
+        (dict(_EXACT_ONE, coeffs={"1": [1, 0], "2": [None, 0]}), ["op", "invert"], "coefficient 2"),
+        (dict(_EXACT_ONE, coeffs={"1": [1, 0], "3": 5}), ["op", "invert"], "coefficient 3"),
+        ([[1, 0], [2, 0]], ["op", "invert"], "expected a JSON object"),
+        (dict(_EXACT_ONE, coeffs={"1": ["1/0", "0"]}), ["op", "invert"], "coefficient 1"),
+        (_FLOAT_NAN, ["analyze", "line-sup"], "coefficient 3: non-finite"),
+        (_FLOAT_NAN, ["analyze", "torus-sup"], "coefficient 3: non-finite"),
+        ({"window": 4, "coeffs": {"1": [1, 0]}}, ["op", "invert"], "missing field 'mode'"),
+    ],
+    ids=["null-part", "bare-number", "top-level-list", "zero-denominator", "nan-line-sup",
+         "nan-torus-sup", "missing-mode"],
+)
+def test_malformed_series_file_exits_2(tmp_path, capsys, doc, command, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc))
+    assert run([*command, str(f), "--out", str(tmp_path / "o.json")]) == 2
+    assert message in capsys.readouterr().err

@@ -205,6 +205,14 @@ def test_binary_ops_truncate_to_min_window():
     assert (a + b).window == 10
 
 
+def test_truncate_sets_the_window():
+    f = TruncatedDirichletSeries(12, {2: ExactComplex(1), 7: ExactComplex(3), 12: ExactComplex(-1)})
+    wide = f.truncate(40)
+    assert wide.window == 40 and wide.coeffs == f.coeffs
+    narrow = f.truncate(7)
+    assert narrow.window == 7 and narrow.coeffs == {2: ExactComplex(1), 7: ExactComplex(3)}
+
+
 def test_mode_mismatch_rejected():
     a = TruncatedDirichletSeries.zeta(8, EXACT)
     b = TruncatedDirichletSeries.zeta(8, FLOAT)
