@@ -142,7 +142,6 @@ def sigma_u_plus_estimate(
     sup_method: str = "torus",
     T: float = 1000.0,
     samples: int = 20_000,
-    **torus_kwargs,
 ) -> SigmaUEstimate:
     """Window-limited surrogate for the abscissa of uniform convergence.
 
@@ -163,10 +162,7 @@ def sigma_u_plus_estimate(
             return 0.0
         if sup_method == "torus":
             p = bohr_lift(prefix.to_float(), table)
-            kwargs = dict(torus_kwargs)
-            if "grid_per_var" not in kwargs:
-                kwargs["grid_per_var"] = auto_grid(len(p.variables()))
-            return torus_sup(p, 1.0, **kwargs).value
+            return torus_sup(p, 1.0, grid_per_var=auto_grid(len(p.variables()))).value
         return line_sup(prefix.to_float(), 0.0, T, samples).sup_estimate
 
     candidates = sorted({n for n in f.support() if n >= 2} | {f.window})

@@ -308,6 +308,25 @@ class TorusSupResult:
         }
 
 
+def _phase_arrays(terms, variables, radii) -> tuple[np.ndarray, np.ndarray]:
+    """The lift on the torus of the given radii as (weights, exps).
+
+    weights[m] = c_m * prod r_i^{e_i} and exps[m] is the integer exponent row
+    of term m over ``variables``, so the value at phases theta is
+    weights @ exp(i * exps @ theta).
+    """
+    axis_of = {v: a for a, v in enumerate(variables)}
+    weights = np.empty(len(terms), dtype=np.complex128)
+    exps = np.zeros((len(terms), len(variables)), dtype=np.int64)
+    for m, (mono, c) in enumerate(terms):
+        coef = complex(c)
+        for i, e in mono:
+            coef *= radii[i] ** e
+            exps[m, axis_of[i]] = e
+        weights[m] = coef
+    return weights, exps
+
+
 def _grid_values(
     terms: list[tuple[Monomial, complex]],
     variables: list[int],
@@ -318,17 +337,16 @@ def _grid_values(
     k = len(variables)
     g = grid_per_var
     theta = 2.0 * np.pi * np.arange(g) / g
-    axis_of = {v: a for a, v in enumerate(variables)}
+    weights, exps = _phase_arrays(terms, variables, radii)
+    # One broadcast product per term: a dense (g^k, terms) phase matrix
+    # would hold terms times the grid in memory at once.
     vals = np.zeros((g,) * k, dtype=np.complex128)
-    for mono, c in terms:
-        coef = complex(c)
-        for i, e in mono:
-            coef *= radii[i] ** e
-        arr = np.asarray(coef, dtype=np.complex128)
-        for i, e in mono:
+    for w, row in zip(weights, exps):
+        arr = np.asarray(w)
+        for axis in np.flatnonzero(row):
             shape = [1] * k
-            shape[axis_of[i]] = g
-            arr = arr * np.exp(1j * e * theta).reshape(shape)
+            shape[axis] = g
+            arr = arr * np.exp(1j * row[axis] * theta).reshape(shape)
         vals = vals + arr
     return vals
 
@@ -337,83 +355,39 @@ def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
     """Exact max of |sum_j coeffs[j] z^j| over |z| = 1.
 
     The squared modulus is a trigonometric polynomial; its critical phases
-    are roots of a degree-2d algebraic polynomial on the unit circle.
+    are roots of a degree-2d algebraic polynomial on the unit circle.  When
+    the modulus is constant (a monomial) that polynomial is zero, has no
+    roots, and phase 0 is the only candidate.
     """
     d = len(coeffs) - 1
-    if d == 0:
-        return abs(coeffs[0]), 0.0
     # Autocorrelation A_m = sum_j coeffs[j] * conj(coeffs[j-m]), m = -d..d.
-    a = np.zeros(2 * d + 1, dtype=np.complex128)
-    for m in range(-d, d + 1):
-        s = 0j
-        for j in range(max(0, m), min(d, d + m) + 1):
-            s += coeffs[j] * np.conj(coeffs[j - m])
-        a[m + d] = s
+    a = np.convolve(coeffs, np.conj(coeffs[::-1]))
     # F(t) = sum_m A_m e^{imt};  z^d F'(t) = sum_m i m A_m z^{m+d}.
-    deriv = np.array([1j * m * a[m + d] for m in range(-d, d + 1)])
-    if np.allclose(deriv, 0):
-        return math.sqrt(max(abs(a[d].real), 0.0)), 0.0
+    deriv = 1j * np.arange(-d, d + 1) * a
     roots = np.roots(deriv[::-1])
-    candidates = [0.0]
-    for z in roots:
-        if abs(abs(z) - 1.0) < 1e-6:
-            candidates.append(float(np.angle(z)))
-    best_t, best_v = 0.0, -1.0
-    powers = np.arange(d + 1)
-    for t in candidates:
-        v = abs(np.dot(coeffs, np.exp(1j * powers * t)))
-        if v > best_v:
-            best_v, best_t = v, t
-    return best_v, best_t
+    t = np.concatenate(([0.0], np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])))
+    vals = np.abs(np.exp(1j * np.outer(t, np.arange(d + 1))) @ coeffs)
+    best = int(np.argmax(vals))
+    return float(vals[best]), float(t[best])
 
 
 def _coordinate_ascent(
-    terms, variables, radii, theta0: np.ndarray, max_cycles: int
+    weights, variables, exps, theta0: np.ndarray, max_cycles: int
 ) -> tuple[np.ndarray, float, bool]:
-    """Cyclic exact line maximization along each phase coordinate."""
-    k = len(variables)
+    """Cyclic exact line maximization along each phase coordinate.
+
+    ``(weights, exps)`` is the lift from ``_phase_arrays``; ``variables``
+    names the columns of ``exps``.
+    """
     theta = np.array(theta0, dtype=float)
-    axis_of = {v: a for a, v in enumerate(variables)}
-
-    def collapse(axis: int) -> np.ndarray:
-        # Coefficients of the univariate polynomial in z = e^{i theta_axis}.
-        var = variables[axis]
-        deg = 0
-        for mono, _ in terms:
-            for i, e in mono:
-                if i == var:
-                    deg = max(deg, e)
-        u = np.zeros(deg + 1, dtype=np.complex128)
-        for mono, c in terms:
-            coef = complex(c)
-            e_here = 0
-            for i, e in mono:
-                if i == var:
-                    e_here = e
-                    coef *= radii[i] ** e
-                else:
-                    coef *= (radii[i] * np.exp(1j * theta[axis_of[i]])) ** e
-            u[e_here] += coef
-        return u
-
-    current = abs(
-        sum(
-            complex(c)
-            * np.prod(
-                [
-                    (radii[i] * np.exp(1j * theta[axis_of[i]])) ** e
-                    for i, e in mono
-                ]
-                or [1.0]
-            )
-            for mono, c in terms
-        )
-    )
+    current = abs(weights @ np.exp(1j * (exps @ theta)))
     converged = False
     for _ in range(max_cycles):
         before = current
-        for axis in range(k):
-            u = collapse(axis)
+        for axis in range(len(variables)):
+            # Coefficients of the univariate polynomial in z = e^{i theta_axis}.
+            ph = weights * np.exp(1j * (exps @ theta - exps[:, axis] * theta[axis]))
+            u = np.bincount(exps[:, axis], ph.real) + 1j * np.bincount(exps[:, axis], ph.imag)
             v, t = _line_max_on_circle(u)
             if v >= current:
                 current = v
@@ -424,22 +398,12 @@ def _coordinate_ascent(
     return theta, float(current), converged
 
 
-def _polish(terms, variables, radii, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Smooth local maximization of |p|^2 with an analytic gradient.
 
     Coordinate ascent zigzags slowly along curved ridges; a quasi-Newton
     step from its endpoint converges the remaining distance quickly.
     """
-    k = len(variables)
-    axis_of = {v: a for a, v in enumerate(variables)}
-    exps = np.zeros((len(terms), k))
-    weights = np.zeros(len(terms), dtype=np.complex128)
-    for m, (mono, c) in enumerate(terms):
-        coef = complex(c)
-        for i, e in mono:
-            coef *= radii[i] ** e
-            exps[m, axis_of[i]] = e
-        weights[m] = coef
 
     def neg_square(theta):
         ph = weights * np.exp(1j * (exps @ theta))
@@ -461,13 +425,16 @@ def _check_grid(grid_per_var: int, k: int, budget: int) -> None:
         )
 
 
+# Random starts of the optimizer after the best grid point.
+_RESTARTS = 6
+
+
 def torus_sup(
     p: SparseMultiPoly,
     radius: float = 1.0,
     grid_per_var: int = 8,
     refine_steps: int = 12,
     seed: int = 0,
-    restarts: int = 6,
     budget: int = 1 << 22,
 ) -> TorusSupResult:
     """Certified lower bound on sup |p| over the torus of the given radius.
@@ -487,6 +454,7 @@ def torus_sup(
         return TorusSupResult(const, {}, {}, radius, True)
     radii = {v: radius for v in variables}
     terms = list(pf.terms.items())
+    weights, exps = _phase_arrays(terms, variables, radii)
     vals = _grid_values(terms, variables, radii, grid_per_var)
     mag = np.abs(vals)
     flat = int(np.argmax(mag))
@@ -495,14 +463,12 @@ def torus_sup(
     grid_best = float(mag.flat[flat])
 
     rng = np.random.default_rng(seed)
-    starts = [theta_grid]
-    for _ in range(restarts):
-        starts.append(rng.uniform(0.0, 2.0 * np.pi, size=k))
+    starts = [theta_grid] + [rng.uniform(0.0, 2.0 * np.pi, size=k) for _ in range(_RESTARTS)]
 
     best_val, best_theta, conv = grid_best, theta_grid, False
     for th0 in starts:
-        th, v, c = _coordinate_ascent(terms, variables, radii, th0, refine_steps)
-        th2, v2, ok = _polish(terms, variables, radii, th)
+        th, v, c = _coordinate_ascent(weights, variables, exps, th0, refine_steps)
+        th2, v2, ok = _polish(weights, exps, th)
         if v2 >= v:
             th, v, c = th2, v2, (c or ok)
         if v > best_val:

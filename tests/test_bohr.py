@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_toolkit import (
     ExactComplex,
@@ -19,7 +21,7 @@ from dirichlet_toolkit import (
     torus_sup,
 )
 from dirichlet_toolkit.analysis import partial_sum
-from dirichlet_toolkit.bohr import PolydiscPoint, auto_grid
+from dirichlet_toolkit.bohr import PolydiscPoint, _line_max_on_circle, auto_grid
 from dirichlet_toolkit.builders import random_series
 from dirichlet_toolkit.errors import BudgetExceededError, WindowOverflowError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
@@ -127,6 +129,41 @@ def test_polydisc_point_check():
 
 
 # -- torus sup ------------------------------------------------------------
+
+
+# Each coefficient is zero or a two-digit mantissa times 10^-9..10^1, so one
+# vector mixes scales ten orders apart while every ratio stays far inside
+# float64 range (companion-matrix roots overflow near ratios of 1e308).
+_circle_coeff = st.one_of(
+    st.just(0j),
+    st.builds(
+        lambda re, im, k: complex(re, im) / 100 * 10.0**k,
+        st.integers(-999, 999),
+        st.integers(-999, 999),
+        st.integers(-9, 1),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_circle_coeff, min_size=1, max_size=5))
+def test_line_max_on_circle_is_the_circle_max(coeffs):
+    c = np.array(coeffs, dtype=np.complex128)
+    value, t = _line_max_on_circle(c)
+    total = np.abs(c).sum()
+    phases = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    assert value >= np.abs(np.polyval(c[::-1], phases)).max() - 1e-9 * total
+    assert value <= total * (1 + 1e-12)
+    assert value == pytest.approx(abs(np.polyval(c[::-1], np.exp(1j * t))), abs=1e-12 * total)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected", [([3.0 - 4.0j], 5.0), ([0.0, 0.0, 2.0j], 2.0)], ids=["degree-0", "z^2"]
+)
+def test_line_max_on_circle_constant_modulus(coeffs, expected):
+    value, t = _line_max_on_circle(np.array(coeffs, dtype=np.complex128))
+    assert value == pytest.approx(expected, rel=1e-15)
+    assert t == 0.0
 
 
 def test_torus_sup_triangle_fixture():
@@ -246,6 +283,16 @@ def test_cauchy_matches_dft_orthogonality_oracle(table):
     got = cauchy_coefficient(f, n, table, grid_per_var=g, radius=r)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx(-2.0, abs=1e-10)
+
+
+def test_cauchy_per_variable_radius(table):
+    # 90 = 2 * 3^2 * 5 and 12 = 2^2 * 3 lift to x1 x2^2 x3 and x1^2 x2.
+    f = TruncatedDirichletSeries(100, {1: 0.5, 12: 2.0 - 1.0j, 90: -3.0j, 25: 1.5}, FLOAT)
+    radius = {1: 0.3, 2: 0.6, 3: 0.9}
+    got = cauchy_coefficient(f, 90, table, grid_per_var=4, radius=radius)
+    assert got == pytest.approx(-3.0j, abs=1e-10)
+    got = cauchy_coefficient(f, 12, table, grid_per_var=4, radius=radius)
+    assert got == pytest.approx(2.0 - 1.0j, abs=1e-10)
 
 
 def test_cauchy_aliases_when_grid_too_small(table):

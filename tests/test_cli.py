@@ -137,6 +137,25 @@ def test_missing_file_exits_2(tmp_path):
     assert run(["op", "invert", str(tmp_path / "absent.json"), "--out", "x.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["op", "invert", "{dir}", "--out", "{tmp}/o.json"],
+        ["analyze", "line-sup", "{dir}", "--out", "{tmp}/o.json"],
+        ["analyze", "line-sup", "{file}", "--out", "{dir}"],
+    ],
+    ids=["op-input", "analyze-input", "out"],
+)
+def test_directory_path_exits_2(tmp_path, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    f = tmp_path / "f.json"
+    run(["build", "zeta", "--window", "8", "--out", str(f)])
+    args = [a.format(dir=folder, tmp=tmp_path, file=f) for a in command]
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # -- verify ---------------------------------------------------------------
 
 
