@@ -363,8 +363,23 @@ def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
     # Autocorrelation A_m = sum_j coeffs[j] * conj(coeffs[j-m]), m = -d..d.
     a = np.convolve(coeffs, np.conj(coeffs[::-1]))
     # F(t) = sum_m A_m e^{imt};  z^d F'(t) = sum_m i m A_m z^{m+d}.
-    deriv = 1j * np.arange(-d, d + 1) * a
-    roots = np.roots(deriv[::-1])
+    m = np.arange(-d, d + 1)
+    k = 0
+    # |A_m| <= A_0 = sum_j |coeffs[j]|^2: with A_0 of moderate size and
+    # |A_d| > 1e-12 A_0, no end entry of z^d F' is negligible.
+    if not (1e-200 < a[d].real < 1e200 and abs(a[0]) > 1e-12 * a[d].real):
+        # Rescale by a power of two (exact) so the products neither under- nor
+        # overflow, then drop the end entries at or below 1e-12 max|z^d F'|
+        # (symmetric in m): their roots lie near 0 and infinity, off the unit
+        # circle, and can overflow the companion matrix.
+        e = math.frexp(float(np.abs(coeffs).max()))[1]
+        c = coeffs * math.ldexp(1.0, min(-e, 1023))
+        a = np.convolve(c, np.conj(c[::-1]))
+        mag = np.abs(m * a)
+        while k < d and mag[k] <= 1e-12 * mag.max():
+            k += 1
+    deriv = 1j * m * a
+    roots = np.roots(deriv[k : 2 * d + 1 - k][::-1])
     t = np.concatenate(([0.0], np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])))
     vals = np.abs(np.exp(1j * np.outer(t, np.arange(d + 1))) @ coeffs)
     best = int(np.argmax(vals))

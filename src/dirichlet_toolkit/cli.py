@@ -176,7 +176,8 @@ def cmd_verify(args, argv) -> int:
 
 def cmd_analyze(args, argv) -> int:
     f = TruncatedDirichletSeries.load(args.input)
-    table = _table_for(f.window)
+    # line-sup and perron read the coefficients as they are and need no sieve
+    table = None if args.kind in ("line-sup", "perron") else _table_for(f.window)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     if args.kind == "torus-sup":
         p = bohr.bohr_lift(f.to_float(), table)

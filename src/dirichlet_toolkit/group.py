@@ -10,8 +10,10 @@ yields the orbit-averaging projection onto invariant series.
 from __future__ import annotations
 
 import re as _re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from . import scalars
 from .bohr import SparseMultiPoly, _canonical
@@ -28,6 +30,29 @@ from .series import TruncatedDirichletSeries
 DEFAULT_CEILING = 2**63 - 1
 DEFAULT_ENUMERATION_CAP = 10_000
 DEFAULT_INDEX_BOUND = 100_000
+
+
+def _closure(start, step, limit: int | None = None):
+    """Breadth-first closure of ``start`` under ``step``.
+
+    ``step(x)`` yields the neighbours of x, with None for a neighbour that
+    leaves the searched region.  Returns ``(members, escaped)`` with the
+    members in discovery order, or ``(None, escaped)`` as soon as a new
+    member would make more than ``limit``.
+    """
+    members = list(start)
+    seen = set(members)
+    escaped = False
+    for x in members:
+        for y in step(x):
+            if y is None:
+                escaped = True
+            elif y not in seen:
+                if limit is not None and len(seen) >= limit:
+                    return None, escaped
+                seen.add(y)
+                members.append(y)
+    return members, escaped
 
 
 class FiniteSupportPermutation:
@@ -203,24 +228,17 @@ class PermutationGroup:
             return self._elements
         if self._enumeration_failed:
             return None
-        if not all(isinstance(g, FiniteSupportPermutation) for g in self.generators):
+        seen = None
+        if all(isinstance(g, FiniteSupportPermutation) for g in self.generators):
+            gens = self.generators + [g.inverse() for g in self.generators]
+            seen, _ = _closure(
+                [FiniteSupportPermutation.identity()],
+                lambda el: (g * el for g in gens),
+                self.enumeration_cap,
+            )
+        if seen is None:
             self._enumeration_failed = True
             return None
-        gens = [g for g in self.generators] + [g.inverse() for g in self.generators]
-        seen = {FiniteSupportPermutation.identity()}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    cand = g * el
-                    if cand not in seen:
-                        if len(seen) >= self.enumeration_cap:
-                            self._enumeration_failed = True
-                            return None
-                        seen.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
         self._elements = sorted(seen, key=lambda p: sorted(p._map.items()))
         return self._elements
 
@@ -322,110 +340,59 @@ def integer_orbit(
     image exceeds ``bound`` the orbit is reported unresolved, not an error.
     """
     start = tuple(sorted(table.factor(n).as_dict().items()))
-    seen = {start}
-    frontier = [start]
-    status = "finite"
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for _, image in _images(generators, dict(vec)):
-                key = tuple(sorted(image.items()))
-                if key in seen:
-                    continue
-                try:
-                    value = _vector_value(image, table, min(bound, ceiling))
-                except (ProductCeilingError, TableTooSmallError):
-                    status = "unresolved"
-                    continue
-                if value > bound:
-                    status = "unresolved"
-                    continue
-                seen.add(key)
-                nxt.append(key)
-        frontier = nxt
-    members = sorted(_vector_value(dict(vec), table, ceiling) for vec in seen)
-    return IntegerOrbit(n, tuple(members), status, bound)
+
+    def step(vec):
+        for _, image in _images(generators, dict(vec)):
+            key = tuple(sorted(image.items()))
+            try:
+                if key != start:  # n itself is a member even beyond the bound
+                    _vector_value(image, table, min(bound, ceiling))
+            except (ProductCeilingError, TableTooSmallError):
+                key = None
+            yield key
+
+    vecs, escaped = _closure([start], step)
+    members = sorted(_vector_value(dict(vec), table, ceiling) for vec in vecs)
+    return IntegerOrbit(n, tuple(members), "unresolved" if escaped else "finite", bound)
 
 
 def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
     """Orbit of a single prime index under the generators, BFS-bounded."""
-    seen = {i}
-    frontier = [i]
-    status = "finite"
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for g in generators:
-                for image in (g(j), g.inv(j)):
-                    if image > bound:
-                        status = "unresolved"
-                    elif image not in seen:
-                        seen.add(image)
-                        nxt.append(image)
-        frontier = nxt
-    return tuple(sorted(seen)), status
+
+    def step(j):
+        for g in generators:
+            for image in (g(j), g.inv(j)):
+                yield None if image > bound else image
+
+    members, escaped = _closure([i], step)
+    return tuple(sorted(members)), "unresolved" if escaped else "finite"
 
 
 def index_orbits(generators, M: int) -> OrbitPartition:
-    """Union-find partition of [1..M] under the generators."""
-    parent = list(range(M + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    escaped_roots: set[int] = set()
+    """Partition of [1..M] into index orbits, searched within [1..M]."""
+    orbits: list[tuple[int, ...]] = []
+    unresolved: set[int] = set()
+    placed: set[int] = set()
     for i in range(1, M + 1):
-        for g in generators:
-            j = g(i)
-            if j <= M:
-                union(i, j)
-            else:
-                escaped_roots.add(i)
-            j = g.inv(i)
-            if j <= M:
-                union(i, j)
-            else:
-                escaped_roots.add(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(1, M + 1):
-        groups.setdefault(find(i), []).append(i)
-    orbits = tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
-    unresolved = frozenset(
-        pos
-        for pos, orb in enumerate(orbits)
-        if any(find(i) == find(orb[0]) for i in escaped_roots)
-    )
-    return OrbitPartition(M, orbits, unresolved)
+        if i not in placed:
+            members, status = index_orbit(generators, i, M)
+            placed.update(members)
+            if status != "finite":
+                unresolved.add(len(orbits))
+            orbits.append(members)
+    return OrbitPartition(M, tuple(orbits), frozenset(unresolved))
 
 
 # -- invariant projection and friends -------------------------------------
 
 
-def _support_orbit(
-    generators, n: int, table: PrimeTable, index_bound: int, ceiling: int
-) -> tuple[tuple[int, ...], bool]:
-    """Integer orbit of n, with a flag for unresolved prime-index orbits."""
-    vec = table.factor(n).as_dict()
-    for i in vec:
-        _, status = index_orbit(generators, i, index_bound)
-        if status != "finite":
-            return (), True
-    orbit = integer_orbit(generators, n, ceiling, table, ceiling)
-    # index orbits all finite => the integer orbit is finite; an unresolved
-    # status here means the ceiling was hit, which we surface as an error.
-    if orbit.status != "finite":
-        raise ProductCeilingError(
-            f"orbit of {n} exceeds the integer ceiling {ceiling}"
+def _all_elements(group: PermutationGroup) -> list[FiniteSupportPermutation]:
+    elements = group.elements()
+    if elements is None:
+        raise GroupTooLargeError(
+            f"group has no enumeration within cap {group.enumeration_cap}"
         )
-    return orbit.members, False
+    return elements
 
 
 def project_invariant(
@@ -448,15 +415,27 @@ def project_invariant(
     if policy not in ("error", "zero_unresolved"):
         raise ValueError(f"unknown policy {policy!r}")
     gens = group.generators
+
+    def step(vec):
+        for _, image in _images(gens, dict(vec)):
+            _vector_value(image, table, ceiling)  # errors propagate
+            yield tuple(sorted(image.items()))
+
     zero = scalars.zero(f.mode)
     out: dict[int, object] = {}
     window = f.window
     done: set[int] = set()
+    finite: dict[int, bool] = {}  # prime index -> its orbit is certified finite
     for n in sorted(f.coeffs):
         if n in done:
             continue
-        members, unresolved = _support_orbit(gens, n, table, index_bound, ceiling)
-        if unresolved:
+        vec = table.factor(n).as_dict()
+        for i in vec:
+            if i not in finite:
+                # every member of an index orbit shares its status
+                orbit, status = index_orbit(gens, i, index_bound)
+                finite.update(dict.fromkeys(orbit, status == "finite"))
+        if not all(finite[i] for i in vec):
             if policy == "error":
                 raise UnresolvedOrbitError(
                     f"orbit of a prime index of {n} is not certified finite "
@@ -464,6 +443,9 @@ def project_invariant(
                 )
             done.add(n)
             continue
+        # every index orbit is finite, so this closure is finite too
+        vecs, _ = _closure([tuple(sorted(vec.items()))], step)
+        members = sorted(_vector_value(dict(v), table, ceiling) for v in vecs)
         total = zero
         for k in members:
             total = total + f.coeffs.get(k, zero)
@@ -490,11 +472,7 @@ def group_average(
     Cross-check for the orbit-average projection (they agree for every
     enumerable group); requires a full enumeration.
     """
-    elements = group.elements()
-    if elements is None:
-        raise GroupTooLargeError(
-            f"group has no enumeration within cap {group.enumeration_cap}"
-        )
+    elements = _all_elements(group)
     acc: dict[int, object] = {}
     window = f.window
     for el in elements:
@@ -581,32 +559,12 @@ def invariant_orbit_sums(
     Monomials in x_1..x_M are permuted through the variable indices; each
     orbit contributes the sum of its monomials with coefficient 1.
     """
-    elements = group.elements()
-    if elements is None:
-        raise GroupTooLargeError(
-            f"group has no enumeration within cap {group.enumeration_cap}"
-        )
-
-    def monomials_of_degree(d: int):
-        def rec(var: int, remaining: int, acc: list):
-            if var > M:
-                if remaining == 0:
-                    yield tuple(acc)
-                return
-            for e in range(remaining + 1):
-                if e:
-                    acc.append((var, e))
-                yield from rec(var + 1, remaining - e, acc)
-                if e:
-                    acc.pop()
-
-        yield from rec(1, d, [])
-
+    elements = _all_elements(group)
     seen: set = set()
     sums: list[SparseMultiPoly] = []
     for d in range(degree + 1):
-        for mono in monomials_of_degree(d):
-            mono = _canonical(mono)
+        for variables in combinations_with_replacement(range(1, M + 1), d):
+            mono = _canonical(Counter(variables))
             if mono in seen:
                 continue
             orbit = set()

@@ -12,7 +12,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from . import scalars
-from .errors import NotInvertibleError
+from .errors import NotInvertibleError, NumericFailureError
 from .primes import PrimeTable
 from .scalars import EXACT, FLOAT, ExactComplex
 
@@ -216,9 +216,13 @@ class TruncatedDirichletSeries:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return TruncatedDirichletSeries(
-            self.window, {n: complex(c) for n, c in self.coeffs.items()}, FLOAT
-        )
+        coeffs = {}
+        for n, c in self.coeffs.items():
+            try:
+                coeffs[n] = complex(c)
+            except OverflowError:
+                raise NumericFailureError(f"coefficient {n} is too large for a float") from None
+        return TruncatedDirichletSeries(self.window, coeffs, FLOAT)
 
     # -- norms --------------------------------------------------------
 

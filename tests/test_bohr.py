@@ -132,8 +132,9 @@ def test_polydisc_point_check():
 
 
 # Each coefficient is zero or a two-digit mantissa times 10^-9..10^1, so one
-# vector mixes scales ten orders apart while every ratio stays far inside
-# float64 range (companion-matrix roots overflow near ratios of 1e308).
+# vector mixes scales ten orders apart; the test then scales one coefficient
+# by down to 1e-300, which must not push the critical-phase roots off the
+# unit circle or overflow their companion matrix.
 _circle_coeff = st.one_of(
     st.just(0j),
     st.builds(
@@ -146,9 +147,10 @@ _circle_coeff = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_circle_coeff, min_size=1, max_size=5))
-def test_line_max_on_circle_is_the_circle_max(coeffs):
+@given(st.lists(_circle_coeff, min_size=1, max_size=5), st.integers(0, 4), st.integers(-300, 0))
+def test_line_max_on_circle_is_the_circle_max(coeffs, index, exponent):
     c = np.array(coeffs, dtype=np.complex128)
+    c[index % len(c)] *= 10.0**exponent
     value, t = _line_max_on_circle(c)
     total = np.abs(c).sum()
     phases = np.exp(2j * np.pi * np.arange(4096) / 4096)

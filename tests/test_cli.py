@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_toolkit import TruncatedDirichletSeries
 from dirichlet_toolkit.cli import main
@@ -119,6 +121,14 @@ def test_op_restrict(tmp_path):
     assert TruncatedDirichletSeries.load(out).support() == [1, 2, 4, 8]
 
 
+def test_op_project_beyond_the_table_exits_3(tmp_path, capsys):
+    # the sieve covers the window 10, which holds 4 primes; (1 5) needs p_5 = 11
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
+    assert run(["op", "project", str(f), "--gens", "(1 5)", "--out", str(tmp_path / "p.json")]) == 3
+    assert "prime index 5 beyond table" in capsys.readouterr().err
+
+
 def test_op_project_needs_gens(tmp_path):
     f = tmp_path / "f.json"
     run(["build", "zeta", "--window", "4", "--out", str(f)])
@@ -229,6 +239,33 @@ def test_analyze_torus_sup_rejects_empty_grid(tmp_path, capsys, build):
     assert "grid must be >= 1, got 0" in capsys.readouterr().err
 
 
+def test_analyze_torus_sup_with_a_negligible_end_coefficient(tmp_path):
+    # |c + 10 z + z^2| on |z| = 1 with c at the smallest normal float
+    f = tmp_path / "f.json"
+    coeffs = {"1": [2.2250738585072014e-308, 0.0], "2": [10.0, 0.0], "4": [1.0, 0.0]}
+    f.write_text(json.dumps({"window": 4, "mode": "float", "coeffs": coeffs}))
+    out = tmp_path / "t.json"
+    assert run(["analyze", "torus-sup", str(f), "--out", str(out)]) == 0
+    assert read_json(out)["value"] == pytest.approx(11.0, abs=1e-12)
+
+
+def test_analyze_line_sup_builds_no_sieve(tmp_path):
+    # a window far beyond the sieve limit, which line-sup never needs
+    f = tmp_path / "f.json"
+    coeffs = {"1": [1.0, 0.0], "2": [1.0, 0.0]}
+    f.write_text(json.dumps({"window": 20_000_000, "mode": "float", "coeffs": coeffs}))
+    out = tmp_path / "l.json"
+    assert run(["analyze", "line-sup", str(f), "--T", "10", "--samples", "201", "--out", str(out)]) == 0
+    assert read_json(out)["value"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_exact_coefficient_beyond_float_range_is_a_numeric_failure(tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": 4, "mode": "exact", "coeffs": {"3": ["1e400", "0"]}}))
+    assert run(["analyze", "line-sup", str(f), "--out", str(tmp_path / "o.json")]) == 3
+    assert "coefficient 3 is too large for a float" in capsys.readouterr().err
+
+
 # -- malformed series files -----------------------------------------------
 
 _EXACT_ONE = {"window": 4, "mode": "exact"}
@@ -254,3 +291,69 @@ def test_malformed_series_file_exits_2(tmp_path, capsys, doc, command, message):
     f.write_text(json.dumps(doc))
     assert run([*command, str(f), "--out", str(tmp_path / "o.json")]) == 2
     assert message in capsys.readouterr().err
+
+
+_good_part = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))
+_part = st.one_of(
+    _good_part,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/3", "-2", "1/0", "1e400", "abc", "", " 2 "]),
+    st.none(),
+    st.booleans(),
+)
+_pair = st.one_of(st.lists(_part, max_size=3), _part, st.dictionaries(st.text(max_size=2), _part, max_size=2))
+_key = st.one_of(st.integers(-2, 45).map(str), st.text(max_size=3))
+_odd = st.one_of(_part, st.text(max_size=3), st.dictionaries(_key, _pair, max_size=4), st.lists(_pair, max_size=2))
+_good_doc = st.integers(1, 40).flatmap(
+    lambda window: st.fixed_dictionaries(
+        {
+            "window": st.just(window),
+            "mode": st.sampled_from(["exact", "float"]),
+            "coeffs": st.dictionaries(
+                st.integers(1, window).map(str),
+                st.lists(_good_part, min_size=2, max_size=2),
+                max_size=6,
+            ),
+        }
+    )
+)
+
+
+def _spoiled(doc, changes, dropped):
+    doc = {**doc, **changes}
+    for key in dropped:
+        doc.pop(key, None)
+    return doc
+
+
+# a well-formed document with up to two fields replaced by odd values (extra
+# keys included) and up to one field dropped, or not an object at all
+_series_doc = st.one_of(
+    st.builds(
+        _spoiled,
+        _good_doc,
+        st.dictionaries(st.sampled_from(["window", "mode", "coeffs", "provenance", "x"]), _odd, max_size=2),
+        st.sets(st.sampled_from(["window", "mode", "coeffs"]), max_size=1),
+    ),
+    _odd,
+)
+_COMMANDS = [
+    ["analyze", "line-sup", "--T", "5", "--samples", "101"],
+    ["analyze", "torus-sup", "--grid", "3", "--refine", "2"],
+    ["analyze", "perron", "--n", "2", "--R", "50", "--steps", "400"],
+    ["op", "invert"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_doc, st.sampled_from(_COMMANDS))
+def test_fuzzed_series_file_exits_cleanly(fuzz_dir, doc, command):
+    f = fuzz_dir / "doc.json"
+    f.write_text(json.dumps(doc))
+    args = [*command[:2], str(f), *command[2:], "--out", str(fuzz_dir / "out.json")]
+    assert run(args) in (0, 2, 3)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_toolkit import (
     ExactComplex,
@@ -24,6 +26,7 @@ from dirichlet_toolkit import (
 from dirichlet_toolkit.errors import (
     GroupTooLargeError,
     ProductCeilingError,
+    TableTooSmallError,
     UnresolvedOrbitError,
 )
 from dirichlet_toolkit.group import index_orbit
@@ -119,6 +122,12 @@ def test_group_enumeration_cap():
     assert grp.order() is None
 
 
+def test_group_enumeration_cap_boundary():
+    # a group of order exactly the cap is still enumerated
+    assert len(PermutationGroup.from_cycles("(1 2)", "(2 3)", enumeration_cap=6).elements()) == 6
+    assert PermutationGroup.from_cycles("(1 2)", "(2 3)", enumeration_cap=5).elements() is None
+
+
 def test_group_json_round_trip():
     grp = PermutationGroup.from_cycles("(1 2)", "(3 4 5)")
     doc = grp.to_json_dict()
@@ -159,6 +168,52 @@ def test_index_orbit_unresolved_for_rule_permutation():
     assert status == "unresolved"
 
 
+def _union_find_partition(generators, M):
+    """Components of [1..M] joined by generator edges that stay in [1..M]."""
+    parent = list(range(M + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    leaving = set()
+    for i in range(1, M + 1):
+        for g in generators:
+            for j in (g(i), g.inv(i)):
+                if j > M:
+                    leaving.add(i)
+                else:
+                    ri, rj = find(i), find(j)
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(1, M + 1):
+        groups.setdefault(find(i), []).append(i)
+    orbits = tuple(tuple(v) for _, v in sorted(groups.items()))
+    unresolved = {pos for pos, orb in enumerate(orbits) if leaving & set(orb)}
+    return orbits, unresolved
+
+
+_perm_on_9 = st.permutations(range(1, 10)).map(
+    lambda images: FiniteSupportPermutation(dict(zip(range(1, 10), images)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_perm_on_9, max_size=3),
+    st.booleans(),
+    st.integers(1, 12),
+)
+def test_index_orbits_match_union_find(perms, with_cycle, M):
+    gens = perms + [infinite_index_cycle()] * with_cycle
+    part = index_orbits(gens, M)
+    orbits, unresolved = _union_find_partition(gens, M)
+    assert part.index_bound == M
+    assert part.orbits == orbits
+    assert part.unresolved == unresolved
+
+
 # -- projection -----------------------------------------------------------
 
 
@@ -188,6 +243,14 @@ def test_project_policy_on_infinite_orbit(table):
     kept = project_invariant(f, grp, table, policy="zero_unresolved", index_bound=100)
     assert kept.coefficient(1) == ExactComplex(7)
     assert kept.coefficient(2) == ExactComplex(0)
+
+
+def test_project_reports_an_index_beyond_the_table(table):
+    # index 2000 has a finite orbit, but the table holds only 1229 primes
+    grp = PermutationGroup.from_cycles("(1 2000)")
+    f = TruncatedDirichletSeries(10, {2: ExactComplex(1)})
+    with pytest.raises(TableTooSmallError, match="prime index 2000"):
+        project_invariant(f, grp, table)
 
 
 def test_group_average_matches_projection(table):
