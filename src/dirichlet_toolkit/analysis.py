@@ -310,9 +310,10 @@ def perron_recover(
     ratios = n / ns
     weights = cs * ratios**kappa
     vals = np.exp(1j * np.outer(ts, np.log(ratios))) @ weights
-    if not np.all(np.isfinite(vals)):
-        raise NumericFailureError("nonfinite values in the Perron integrand")
     integral = np.trapezoid(vals, ts)
+    # an overflow in the integrand or in its sum leaves the integral nonfinite
+    if not np.isfinite(integral):
+        raise NumericFailureError("nonfinite Perron integral")
     return PerronResult(complex(integral / (2 * R)), n, kappa, R, steps)
 
 

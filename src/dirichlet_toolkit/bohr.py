@@ -9,11 +9,11 @@ Cauchy/DFT coefficient recovery.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import scalars
 from .errors import BudgetExceededError, TableTooSmallError, WindowOverflowError
@@ -293,6 +293,11 @@ def eval_c(s: complex, M: int, table: PrimeTable) -> PolydiscPoint:
 
 @dataclass
 class TorusSupResult:
+    """``converged`` certifies the value: p is constant, or the point is a
+    strict local maximum of |p| (a Newton step below 1e-8 and a negative
+    definite Hessian).
+    """
+
     value: float
     phases: dict[int, float]
     point: dict[int, complex]
@@ -354,11 +359,17 @@ def _grid_values(
 def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
     """Exact max of |sum_j coeffs[j] z^j| over |z| = 1.
 
-    The squared modulus is a trigonometric polynomial; its critical phases
+    Degrees 0 and 1 are closed forms: |c0| + |c1| at the phase
+    arg c0 - arg c1, where a zero coefficient leaves phase 0.  Above that,
+    the squared modulus is a trigonometric polynomial; its critical phases
     are roots of a degree-2d algebraic polynomial on the unit circle.  When
     the modulus is constant (a monomial) that polynomial is zero, has no
     roots, and phase 0 is the only candidate.
     """
+    if len(coeffs) <= 2:
+        c0, c1 = coeffs[0], (coeffs[1] if len(coeffs) == 2 else 0)
+        t = cmath.phase(c0) - cmath.phase(c1) if c0 and c1 else 0.0
+        return float(abs(c0) + abs(c1)), t
     d = len(coeffs) - 1
     # Autocorrelation A_m = sum_j coeffs[j] * conj(coeffs[j-m]), m = -d..d.
     a = np.convolve(coeffs, np.conj(coeffs[::-1]))
@@ -371,12 +382,15 @@ def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
         # Rescale by a power of two (exact) so the products neither under- nor
         # overflow, then drop the end entries at or below 1e-12 max|z^d F'|
         # (symmetric in m): their roots lie near 0 and infinity, off the unit
-        # circle, and can overflow the companion matrix.
+        # circle, and can overflow the companion matrix.  After the rescale
+        # A_0 >= 1/4, so entries at or below 1e-200 move F by nothing a
+        # double can hold, and dropping them keeps subnormal leading
+        # entries out of the companion matrix too.
         e = math.frexp(float(np.abs(coeffs).max()))[1]
         c = coeffs * math.ldexp(1.0, min(-e, 1023))
         a = np.convolve(c, np.conj(c[::-1]))
         mag = np.abs(m * a)
-        while k < d and mag[k] <= 1e-12 * mag.max():
+        while k < d and mag[k] <= max(1e-12 * mag.max(), 1e-200):
             k += 1
     deriv = 1j * m * a
     roots = np.roots(deriv[k : 2 * d + 1 - k][::-1])
@@ -413,21 +427,69 @@ def _coordinate_ascent(
     return theta, float(current), converged
 
 
+# Newton steps and step halvings per polish, and the longest Newton step
+# (radians) at which the end point still counts as a maximum.
+_NEWTON_STEPS = 30
+_BACKTRACKS = 30
+_STEP_TOL = 1e-8
+
+
 def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Smooth local maximization of |p|^2 with an analytic gradient.
+    """Saddle-free Newton ascent on F = |p|^2 from ``theta0``.
 
-    Coordinate ascent zigzags slowly along curved ridges; a quasi-Newton
-    step from its endpoint converges the remaining distance quickly.
+    Coordinate ascent zigzags slowly along curved ridges; Newton steps with
+    the analytic gradient 2 Re(conj(v) dv) and Hessian
+    2 Re(conj(dv)^T dv + conj(v) d2v) converge the remaining distance.  Each
+    step divides the gradient's components along the eigenvectors of -H by
+    |eigenvalue| (floored at 1e-10 of the largest), so it climbs along
+    every one, and moves at least a unit along each direction of upward
+    curvature, so a start on a saddle leaves it.  Backtracking keeps only
+    steps that do not lower |p|; the search stops once a step gains at most
+    1e-16 relative.  The flag certifies the end point as a strict local
+    maximum: a Newton step of at most 1e-8 and a negative definite Hessian.
     """
+    e = exps.astype(float)
+    theta = np.array(theta0, dtype=float)
+    # F comes from weights scaled by a power of two (exact) to a largest
+    # modulus near 1, so it neither over- nor underflows; the Newton step
+    # does not depend on the scale.
+    w = weights * math.ldexp(1.0, -math.frexp(float(np.abs(weights).max()))[1])
 
-    def neg_square(theta):
-        ph = weights * np.exp(1j * (exps @ theta))
-        val = ph.sum()
-        grad = 2.0 * np.real(np.conj(val) * 1j * (ph @ exps))
-        return -(val.real**2 + val.imag**2), -grad
+    def modulus(th):
+        return float(abs(weights @ np.exp(1j * (e @ th))))
 
-    res = optimize.minimize(neg_square, np.asarray(theta0, dtype=float), jac=True, method="L-BFGS-B")
-    return res.x, math.sqrt(max(-res.fun, 0.0)), bool(res.success)
+    def newton(th):
+        """The step at th, or None where the Hessian is zero, and the certificate."""
+        ph = w * np.exp(1j * (e @ th))
+        v, dv = ph.sum(), 1j * (ph @ e)
+        grad = 2.0 * np.real(np.conj(v) * dv)
+        hess = 2.0 * np.real(np.outer(np.conj(dv), dv) - np.conj(v) * ((e.T * ph) @ e))
+        lam, q = np.linalg.eigh(-hess)
+        floor = 1e-10 * np.abs(lam).max()
+        if not floor:  # |p| is constant here
+            return None, False
+        coef = (q.T @ grad) / np.maximum(np.abs(lam), floor)
+        certified = bool(lam.min() > floor and np.abs(coef).max() <= _STEP_TOL)
+        up = lam < -floor
+        coef[up] = np.copysign(np.maximum(np.abs(coef[up]), 1.0), coef[up])
+        return q @ coef, certified
+
+    value = modulus(theta)
+    for _ in range(_NEWTON_STEPS):
+        step, _ = newton(theta)
+        if step is None:
+            break
+        for halvings in range(_BACKTRACKS):
+            trial = theta + math.ldexp(1.0, -halvings) * step
+            new = modulus(trial)
+            if new >= value:
+                break
+        else:
+            break
+        theta, gain, value = trial, new - value, new
+        if gain <= 1e-16 * value:
+            break
+    return theta, value, newton(theta)[1]
 
 
 def _check_grid(grid_per_var: int, k: int, budget: int) -> None:
@@ -454,9 +516,11 @@ def torus_sup(
 ) -> TorusSupResult:
     """Certified lower bound on sup |p| over the torus of the given radius.
 
-    Deterministic phase grid, seeded random restarts, and cyclic exact
-    coordinate maximization.  Ties on the grid break toward the first index
-    in row-major phase order, so results are reproducible.
+    Deterministic phase grid, seeded random restarts, cyclic exact
+    coordinate maximization and a Newton polish from each start.  Ties on
+    the grid break toward the first index in row-major phase order, so
+    results are reproducible.  ``converged`` is the polish's certificate at
+    the winning point.
     """
     if not 0 < radius <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
@@ -471,25 +535,18 @@ def torus_sup(
     terms = list(pf.terms.items())
     weights, exps = _phase_arrays(terms, variables, radii)
     vals = _grid_values(terms, variables, radii, grid_per_var)
-    mag = np.abs(vals)
-    flat = int(np.argmax(mag))
-    idx = np.unravel_index(flat, mag.shape)
+    idx = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
     theta_grid = 2.0 * np.pi * np.array(idx, dtype=float) / grid_per_var
-    grid_best = float(mag.flat[flat])
 
     rng = np.random.default_rng(seed)
     starts = [theta_grid] + [rng.uniform(0.0, 2.0 * np.pi, size=k) for _ in range(_RESTARTS)]
 
-    best_val, best_theta, conv = grid_best, theta_grid, False
-    for th0 in starts:
-        th, v, c = _coordinate_ascent(weights, variables, exps, th0, refine_steps)
-        th2, v2, ok = _polish(weights, exps, th)
-        if v2 >= v:
-            th, v, c = th2, v2, (c or ok)
-        if v > best_val:
-            best_val, best_theta, conv = v, th, c
-        elif c and abs(v - best_val) <= 1e-9 * max(1.0, best_val):
-            conv = True
+    polished = [
+        _polish(weights, exps, _coordinate_ascent(weights, variables, exps, th0, refine_steps)[0])
+        for th0 in starts
+    ]
+    # max keeps the first of equal values, so the grid start wins ties
+    best_theta, best_val, conv = max(polished, key=lambda res: res[1])
     phases = {v: float(best_theta[a] % (2 * np.pi)) for a, v in enumerate(variables)}
     point = {v: radius * complex(np.exp(1j * t)) for v, t in phases.items()}
     return TorusSupResult(float(best_val), phases, point, radius, conv)

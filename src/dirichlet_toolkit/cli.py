@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import analysis, bohr, suites
 from .builders import random_series
-from .errors import NumericFailureError, ToolkitError
+from .errors import NumericFailureError, ToolkitError, WindowOverflowError
 from .group import (
     FiniteSupportPermutation,
     PermutationGroup,
@@ -55,6 +56,17 @@ def _table_for(window: int) -> PrimeTable:
     if bound > _MAX_TABLE:
         raise ValueError(f"window {window} too large for a sieve (max {_MAX_TABLE})")
     return PrimeTable(bound)
+
+
+def _drop_table(p: bohr.SparseMultiPoly) -> PrimeTable:
+    """The smallest sieve that holds every monomial of ``p`` as an integer."""
+    top = max(p.variables(), default=1)
+    # Rosser: p_i < i (ln i + ln ln i) for i >= 6, and p_5 = 11.
+    small = _table_for(int(top * math.log(top * math.log(top))) if top >= 6 else 11)
+    largest = max((math.prod(small.prime(i) ** e for i, e in m) for m in p.terms), default=1)
+    if largest > _MAX_TABLE:
+        raise WindowOverflowError(f"monomial integer {largest} beyond the sieve limit {_MAX_TABLE}")
+    return _table_for(largest)
 
 
 def _parse_scalar(text: str, mode: str):
@@ -123,7 +135,7 @@ def cmd_op(args, argv) -> int:
         raise ValueError(f"op {name} needs {arity} input file(s), got {len(args.inputs)}")
     if name == "drop":
         p = bohr.SparseMultiPoly.load(args.inputs[0])
-        out = bohr.bohr_drop(p, _table_for(args.window or 1_000_000))
+        out = bohr.bohr_drop(p, _table_for(args.window) if args.window else _drop_table(p))
     else:
         series = [TruncatedDirichletSeries.load(path) for path in args.inputs]
         a = series[0]
@@ -175,25 +187,27 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
-    f = TruncatedDirichletSeries.load(args.input)
+    f = TruncatedDirichletSeries.load(args.input).to_float()
+    if not math.isfinite(f.l1_norm()):
+        raise NumericFailureError(f"{args.input}: the coefficients' l1 sum overflows a float")
     # line-sup and perron read the coefficients as they are and need no sieve
     table = None if args.kind in ("line-sup", "perron") else _table_for(f.window)
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     if args.kind == "torus-sup":
-        p = bohr.bohr_lift(f.to_float(), table)
+        p = bohr.bohr_lift(f, table)
         res = bohr.torus_sup(
             p, args.r, grid_per_var=args.grid, refine_steps=args.refine, seed=args.seed
         )
         _emit(_record("torus-sup", params, res.value, None, res.as_record()), args.out)
     elif args.kind == "line-sup":
-        rep = analysis.line_sup(f.to_float(), args.sigma, args.T, args.samples)
+        rep = analysis.line_sup(f, args.sigma, args.T, args.samples)
         _emit(_record("line-sup", params, rep.sup_estimate, None, rep.as_record()), args.out)
     elif args.kind == "sigma-u":
-        est = analysis.sigma_u_plus_estimate(f.to_float(), table)
+        est = analysis.sigma_u_plus_estimate(f, table)
         _emit(_record("sigma-u", params, est.value, None, est.as_record()), args.out)
     elif args.kind == "seminorm-profile":
         grid = _parse_r_grid(args.r_grid)
-        profile = analysis.seminorm_profile(f.to_float(), grid, table, seed=args.seed)
+        profile = analysis.seminorm_profile(f, grid, table, seed=args.seed)
         if args.out and args.out.endswith(".csv"):
             with open(args.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -212,8 +226,8 @@ def cmd_analyze(args, argv) -> int:
                 args.out,
             )
     elif args.kind == "perron":
-        res = analysis.perron_recover(f.to_float(), args.n, args.kappa, args.R, args.steps)
-        bound = analysis.perron_error_bound(f.to_float(), args.n, args.kappa, args.R)
+        res = analysis.perron_recover(f, args.n, args.kappa, args.R, args.steps)
+        bound = analysis.perron_error_bound(f, args.n, args.kappa, args.R)
         _emit(
             _record(
                 "perron",
@@ -225,7 +239,7 @@ def cmd_analyze(args, argv) -> int:
             args.out,
         )
     elif args.kind == "cauchy":
-        got = bohr.cauchy_coefficient(f.to_float(), args.n, table, args.grid, args.r)
+        got = bohr.cauchy_coefficient(f, args.n, table, args.grid, args.r)
         _emit(
             _record("cauchy", params, [got.real, got.imag], 1e-10, {"n": args.n}),
             args.out,

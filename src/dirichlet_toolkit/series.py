@@ -8,6 +8,7 @@ so truncation commutes with the algebra maps.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -227,7 +228,8 @@ class TruncatedDirichletSeries:
     # -- norms --------------------------------------------------------
 
     def l1_norm(self) -> float:
-        return float(sum(abs(scalars.to_complex(c)) for c in self.coeffs.values()))
+        # hypot, unlike abs of a complex, overflows to inf instead of raising
+        return float(sum(math.hypot(z.real, z.imag) for z in map(complex, self.coeffs.values())))
 
     def l1_norm_exact(self) -> Fraction:
         """Exact l1 norm; requires each coefficient purely real or imaginary."""

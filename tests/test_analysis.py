@@ -173,3 +173,11 @@ def test_perron_nonfinite_detected():
     f = TruncatedDirichletSeries(10, {2: float("inf")}, FLOAT)
     with pytest.raises(NumericFailureError):
         perron_recover(f, 2, 1.0, 10.0, steps=100)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_perron_overflowing_sum_detected():
+    # the integrand is the finite constant 1e308; its trapezoid sum is not
+    f = TruncatedDirichletSeries(10, {2: 1e308}, FLOAT)
+    with pytest.raises(NumericFailureError):
+        perron_recover(f, 2, 1.0, 10.0, steps=100)

@@ -1,6 +1,9 @@
 """Bohr lift, sparse polynomial algebra, torus sup, coefficient recovery."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +24,14 @@ from dirichlet_toolkit import (
     torus_sup,
 )
 from dirichlet_toolkit.analysis import partial_sum
-from dirichlet_toolkit.bohr import PolydiscPoint, _line_max_on_circle, auto_grid
+import dirichlet_toolkit
+from dirichlet_toolkit.bohr import (
+    PolydiscPoint,
+    _line_max_on_circle,
+    _phase_arrays,
+    _polish,
+    auto_grid,
+)
 from dirichlet_toolkit.builders import random_series
 from dirichlet_toolkit.errors import BudgetExceededError, WindowOverflowError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
@@ -168,18 +178,78 @@ def test_line_max_on_circle_constant_modulus(coeffs, expected):
     assert t == 0.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_circle_coeff, min_size=1, max_size=2), st.integers(0, 1), st.integers(-300, 0))
+def test_linear_line_max_is_the_closed_form(coeffs, index, exponent):
+    # For degree <= 1 the max is the l1 bound |c0| + |c1|, attained at the
+    # returned phase; the 4096-phase grid can only fall short of it.
+    c = np.array(coeffs, dtype=np.complex128)
+    c[index % len(c)] *= 10.0**exponent
+    value, t = _line_max_on_circle(c)
+    total = np.abs(c).sum()
+    phases = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    assert value == pytest.approx(total, abs=1e-12 * total)
+    assert value >= np.abs(np.polyval(c[::-1], phases)).max() - 1e-12 * total
+    assert abs(np.polyval(c[::-1], np.exp(1j * t))) == pytest.approx(value, abs=1e-12 * total)
+
+
+@st.composite
+def _phase_lift(draw):
+    """Random (weights, exps, theta0) of up to five terms in up to three phases."""
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    exps = np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=np.int64)
+    weights = np.array(draw(st.lists(_circle_coeff, min_size=m, max_size=m)), dtype=np.complex128)
+    theta0 = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k, max_size=k)))
+    return weights, exps, theta0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_lift())
+def test_polish_never_lowers_its_start(lift):
+    weights, exps, theta0 = lift
+    start = abs(weights @ np.exp(1j * (exps @ theta0)))
+    theta, value, _ = _polish(weights, exps, theta0)
+    assert value >= start
+    assert value == abs(weights @ np.exp(1j * (exps @ theta)))
+
+
+_TRIANGLE = SparseMultiPoly(2, {(): 1.0, ((1, 1),): 1.0, ((2, 1),): 1.0}, FLOAT)
+
+
 def test_torus_sup_triangle_fixture():
-    # |1 + z1| maximized at z1 = 1, plus a second variable term
-    p = SparseMultiPoly(2, {(): 1.0, ((1, 1),): 1.0, ((2, 1),): 1.0}, FLOAT)
-    res = torus_sup(p, 1.0, grid_per_var=16, seed=0)
-    assert res.value == pytest.approx(3.0, abs=1e-9)
+    # |1 + z1 + z2| peaks at 3 only at z1 = z2 = 1, where the Hessian of
+    # |p|^2 is negative definite, so the maximum is certified.
+    res = torus_sup(_TRIANGLE, 1.0, grid_per_var=16, seed=0)
+    assert res.value == pytest.approx(3.0, abs=1e-12)
+    assert res.converged
+
+
+def test_polish_leaves_a_saddle_for_the_maximum():
+    # |1 + e^{ia} + e^{ib}|^2 has zero gradient at (pi, 0) and Hessian
+    # [[-4, 2], [2, 0]] there: a saddle, not a maximum.
+    weights, exps = _phase_arrays(list(_TRIANGLE.terms.items()), [1, 2], {1: 1.0, 2: 1.0})
+    theta, value, certified = _polish(weights, exps, np.array([np.pi, 0.0]))
+    assert value == pytest.approx(3.0, abs=1e-12)
+    assert certified
 
 
 def test_torus_sup_opposed_coefficients():
-    # |z1 - z2| has sup 2 on the torus
+    # |z1 - z2| has sup 2 on the whole circle z1 = -z2 of maxima, where the
+    # Hessian is singular: the value is exact but not certified strict.
     p = SparseMultiPoly(2, {((1, 1),): 1.0, ((2, 1),): -1.0}, FLOAT)
     res = torus_sup(p, 1.0, grid_per_var=16, seed=0)
     assert res.value == pytest.approx(2.0, abs=1e-9)
+    assert not res.converged
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(dirichlet_toolkit.__file__))
+    code = "import sys, dirichlet_toolkit.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_torus_sup_single_variable_exact():

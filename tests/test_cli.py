@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_toolkit import TruncatedDirichletSeries
+from dirichlet_toolkit import TruncatedDirichletSeries, cli
 from dirichlet_toolkit.cli import main
 
 
@@ -97,6 +97,25 @@ def test_op_lift_drop_round_trip(tmp_path):
     g = tmp_path / "g.json"
     assert run(["op", "drop", str(p), "--window", "40", "--out", str(g)]) == 0
     assert TruncatedDirichletSeries.load(g) == TruncatedDirichletSeries.load(f)
+
+
+def test_op_drop_sieves_only_as_far_as_the_polynomial(tmp_path, monkeypatch):
+    # x1^20 is 2^20 and x3 is p_3 = 5: the sieve must reach 2^20 and no further
+    p = tmp_path / "p.json"
+    terms = [{"exp": {"1": 20}, "c": [1.0, 0.0]}, {"exp": {"3": 1}, "c": [2.0, 0.0]}]
+    p.write_text(json.dumps({"nvars": 3, "mode": "float", "terms": terms}))
+    bounds = []
+    real = cli.PrimeTable
+
+    def recording(bound):
+        bounds.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(cli, "PrimeTable", recording)
+    g = tmp_path / "g.json"
+    assert run(["op", "drop", str(p), "--out", str(g)]) == 0
+    assert TruncatedDirichletSeries.load(g).coeffs == {2**20: 1.0, 5: 2.0}
+    assert max(bounds) == 2**20
 
 
 def test_op_act_and_project(tmp_path):
@@ -266,6 +285,24 @@ def test_exact_coefficient_beyond_float_range_is_a_numeric_failure(tmp_path, cap
     assert "coefficient 3 is too large for a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze", "torus-sup"], ["analyze", "line-sup"], ["analyze", "perron", "--n", "2"]],
+    ids=["torus-sup", "line-sup", "perron"],
+)
+@pytest.mark.parametrize(
+    "coeffs",
+    [{"1": [1e308, 0.0], "2": [1e308, 0.0]}, {"1": [1.5e308, 1.5e308]}],
+    ids=["sum", "modulus"],
+)
+def test_overflowing_l1_sum_is_a_numeric_failure(tmp_path, capsys, command, coeffs):
+    # every part is a finite float; the sum, or one modulus, is not
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"window": 2, "mode": "float", "coeffs": coeffs}))
+    assert run([*command[:2], str(f), *command[2:], "--out", str(tmp_path / "o.json")]) == 3
+    assert f"{f}: the coefficients' l1 sum overflows a float" in capsys.readouterr().err
+
+
 # -- malformed series files -----------------------------------------------
 
 _EXACT_ONE = {"window": 4, "mode": "exact"}
@@ -293,7 +330,8 @@ def test_malformed_series_file_exits_2(tmp_path, capsys, doc, command, message):
     assert message in capsys.readouterr().err
 
 
-_good_part = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3))
+# +-1e308 is a valid float, but two of them overflow the coefficient l1 sum
+_good_part = st.one_of(st.integers(-5, 5), st.floats(-1e3, 1e3), st.sampled_from([1e308, -1e308]))
 _part = st.one_of(
     _good_part,
     st.floats(allow_nan=True, allow_infinity=True),
