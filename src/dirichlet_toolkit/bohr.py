@@ -452,8 +452,10 @@ def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]
     theta = np.array(theta0, dtype=float)
     # F comes from weights scaled by a power of two (exact) to a largest
     # modulus near 1, so it neither over- nor underflows; the Newton step
-    # does not depend on the scale.
-    w = weights * math.ldexp(1.0, -math.frexp(float(np.abs(weights).max()))[1])
+    # does not depend on the scale.  The power stays a finite double, so
+    # subnormal weights end up no smaller than about 4e-16.
+    e_max = math.frexp(float(np.abs(weights).max()))[1]
+    w = weights * math.ldexp(1.0, min(-e_max, 1023))
 
     def modulus(th):
         return float(abs(weights @ np.exp(1j * (e @ th))))

@@ -59,14 +59,19 @@ def _table_for(window: int) -> PrimeTable:
 
 
 def _drop_table(p: bohr.SparseMultiPoly) -> PrimeTable:
-    """The smallest sieve that holds every monomial of ``p`` as an integer."""
+    """A sieve that holds every monomial of ``p`` as an integer, sized by ``p``.
+
+    A variable whose prime lies beyond the sieve limit raises
+    ``TableTooSmallError``; a monomial integer beyond it, ``WindowOverflowError``.
+    """
     top = max(p.variables(), default=1)
     # Rosser: p_i < i (ln i + ln ln i) for i >= 6, and p_5 = 11.
-    small = _table_for(int(top * math.log(top * math.log(top))) if top >= 6 else 11)
+    rosser = int(top * math.log(top * math.log(top))) if top >= 6 else 11
+    small = _table_for(min(rosser, _MAX_TABLE))
     largest = max((math.prod(small.prime(i) ** e for i, e in m) for m in p.terms), default=1)
     if largest > _MAX_TABLE:
         raise WindowOverflowError(f"monomial integer {largest} beyond the sieve limit {_MAX_TABLE}")
-    return _table_for(largest)
+    return small if largest <= small.bound else _table_for(largest)
 
 
 def _parse_scalar(text: str, mode: str):

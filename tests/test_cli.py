@@ -118,6 +118,25 @@ def test_op_drop_sieves_only_as_far_as_the_polynomial(tmp_path, monkeypatch):
     assert max(bounds) == 2**20
 
 
+@pytest.mark.parametrize(
+    "index, code, expected",
+    [(640_000, 0, {9_602_443: 1.0}), (700_000, 3, "prime index 700000 beyond table")],
+    ids=["prime-within-limit", "prime-beyond-limit"],
+)
+def test_op_drop_of_a_large_variable_index(tmp_path, capsys, index, code, expected):
+    # the Rosser bound for either index passes the sieve limit 10^7, but
+    # p_640000 = 9602443 lies within it and p_700000 does not
+    p = tmp_path / "p.json"
+    terms = [{"exp": {str(index): 1}, "c": [1.0, 0.0]}]
+    p.write_text(json.dumps({"nvars": index, "mode": "float", "terms": terms}))
+    g = tmp_path / "g.json"
+    assert run(["op", "drop", str(p), "--out", str(g)]) == code
+    if code == 0:
+        assert TruncatedDirichletSeries.load(g).coeffs == expected
+    else:
+        assert expected in capsys.readouterr().err
+
+
 def test_op_act_and_project(tmp_path):
     f = tmp_path / "f.json"
     run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
@@ -266,6 +285,20 @@ def test_analyze_torus_sup_with_a_negligible_end_coefficient(tmp_path):
     out = tmp_path / "t.json"
     assert run(["analyze", "torus-sup", str(f), "--out", str(out)]) == 0
     assert read_json(out)["value"] == pytest.approx(11.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [({"2": [5e-324, 0.0]}, 5e-324), ({"2": [5e-324, 0.0], "3": [0.0, 1e-320]}, 5e-324 + 1e-320)],
+    ids=["one-term", "two-terms"],
+)
+def test_analyze_torus_sup_of_subnormal_coefficients(tmp_path, coeffs, expected):
+    # the polish rescales the weights toward 1 without overflowing the scale
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": 3, "mode": "float", "coeffs": coeffs}))
+    out = tmp_path / "t.json"
+    assert run(["analyze", "torus-sup", str(f), "--out", str(out)]) == 0
+    assert read_json(out)["value"] == pytest.approx(expected, rel=0, abs=1e-323)
 
 
 def test_analyze_line_sup_builds_no_sieve(tmp_path):
