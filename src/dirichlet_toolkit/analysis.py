@@ -20,7 +20,7 @@ from .series import TruncatedDirichletSeries
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 _REFINE_CANDIDATES = 5  # best grid points that line_sup refines
-_CHUNK = 200_000  # t samples per matrix product in line_sup
+_CHUNK = 200_000  # t samples per matrix product in _line_values
 
 
 def _coeff_arrays(f: TruncatedDirichletSeries):
@@ -29,6 +29,20 @@ def _coeff_arrays(f: TruncatedDirichletSeries):
         [scalars.to_complex(f.coeffs[int(n)]) for n in ns], dtype=np.complex128
     )
     return ns, cs
+
+
+def _line_values(freqs: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``exp(1j * outer(ts, freqs)) @ weights``, formed ``_CHUNK`` rows at a time.
+
+    Each row is its own product, so the values do not depend on the block
+    size, and memory stays at ``_CHUNK * len(freqs)`` complex entries.
+    """
+    return np.concatenate(
+        [
+            np.exp(1j * np.outer(ts[start : start + _CHUNK], freqs)) @ weights
+            for start in range(0, len(ts), _CHUNK)
+        ]
+    )
 
 
 def partial_sum(f: TruncatedDirichletSeries, s: complex) -> complex:
@@ -98,14 +112,15 @@ def line_sup(
     weights = cs * ns**-sigma
 
     ts = np.linspace(-T, T, samples)
-    best: list[tuple[float, float]] = []  # (value, t), kept sorted desc
-    for start in range(0, samples, _CHUNK):
-        sub = ts[start : start + _CHUNK]
-        vals = np.abs(np.exp(-1j * np.outer(sub, logn)) @ weights)
-        order = np.argsort(vals)[::-1][:_REFINE_CANDIDATES]
-        best.extend((float(vals[i]), float(sub[i])) for i in order)
-    best.sort(key=lambda vt: (-vt[0], vt[1]))
-    best = best[:_REFINE_CANDIDATES]
+    vals = np.abs(_line_values(-logn, weights, ts))
+    if not np.isfinite(vals).all():
+        raise NumericFailureError(f"nonfinite |f(sigma + it)| on the grid at sigma = {sigma}")
+    # the best grid points, ties to the smaller t: every point at or above the
+    # k-th largest value, in t order, then stably sorted by value
+    k = min(_REFINE_CANDIDATES, samples)
+    top = np.flatnonzero(vals >= np.partition(vals, samples - k)[samples - k])
+    top = top[np.argsort(-vals[top], kind="stable")][:k]
+    best = [(float(vals[i]), float(ts[i])) for i in top]
 
     sup_val, sup_t = best[0]
     step = ts[1] - ts[0]
@@ -186,17 +201,18 @@ def seminorm_Pr(
     f: TruncatedDirichletSeries,
     r: float,
     table: PrimeTable,
-    **torus_kwargs,
+    seed: int = 0,
 ) -> float:
     """Seminorm P_r as the torus sup of the Bohr lift at radius r.
 
     For Dirichlet polynomials the half-plane sup of the dilated function
     coincides with the torus sup at radius r, and the torus is compact, so
-    the estimate is computed on the Bohr side.
+    the estimate is computed on the Bohr side.  ``seed`` seeds the torus
+    sup's random restarts.
     """
     if not 0 < r <= 1:
         raise ValueError(f"r must lie in (0, 1], got {r}")
-    return torus_sup(bohr_lift(f.to_float(), table), r, **torus_kwargs).value
+    return torus_sup(bohr_lift(f.to_float(), table), r, seed=seed).value
 
 
 @dataclass
@@ -215,10 +231,10 @@ def seminorm_profile(
     f: TruncatedDirichletSeries,
     r_grid,
     table: PrimeTable,
-    **torus_kwargs,
+    seed: int = 0,
 ) -> SeminormProfile:
     r_grid = [float(r) for r in r_grid]
-    values = [seminorm_Pr(f, r, table, **torus_kwargs) for r in r_grid]
+    values = [seminorm_Pr(f, r, table, seed) for r in r_grid]
     return SeminormProfile(r_grid, values)
 
 
@@ -230,17 +246,6 @@ class ConvexityReport:
     defects: list[float]
     min_first_difference: float
     tolerance: float
-
-    def as_record(self) -> dict:
-        return {
-            "value": self.passed,
-            "tolerance": self.tolerance,
-            "witness": {
-                "min_defect": min(self.defects, default=0.0),
-                "min_first_difference": self.min_first_difference,
-                "constant": self.constant,
-            },
-        }
 
 
 def convexity_check(profile: SeminormProfile, tol: float = 1e-6) -> ConvexityReport:
@@ -309,7 +314,7 @@ def perron_recover(
     # Integrand = sum_m a_m (n/m)^{kappa+it}; group by the ratio n/m.
     ratios = n / ns
     weights = cs * ratios**kappa
-    vals = np.exp(1j * np.outer(ts, np.log(ratios))) @ weights
+    vals = _line_values(np.log(ratios), weights, ts)
     integral = np.trapezoid(vals, ts)
     # an overflow in the integrand or in its sum leaves the integral nonfinite
     if not np.isfinite(integral):

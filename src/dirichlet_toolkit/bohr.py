@@ -57,14 +57,6 @@ class SparseMultiPoly:
         self.mode = mode
         self.terms = {m: c for m, c in clean.items() if not scalars.is_zero(c)}
 
-    @classmethod
-    def zero(cls, nvars: int, mode: str = EXACT):
-        return cls(nvars, {}, mode)
-
-    @classmethod
-    def constant(cls, nvars: int, c, mode: str = EXACT):
-        return cls(nvars, {(): c}, mode)
-
     def variables(self) -> list[int]:
         """Indices actually appearing with positive exponent."""
         out = set()

@@ -8,6 +8,7 @@ All randomness is seeded through flags, so reruns are reproducible.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -168,6 +169,11 @@ def cmd_op(args, argv) -> int:
             out = group_average(a, _group_from_args(args), _table_for(a.window))
         else:
             raise ValueError(f"unknown op {name!r}")
+    if out.mode == FLOAT:
+        coeffs = out.terms if isinstance(out, bohr.SparseMultiPoly) else out.coeffs
+        for key, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise NumericFailureError(f"op {name}: result coefficient {key} is {c}, not finite")
     out.save(args.out, provenance={"argv": argv})
     return 0
 

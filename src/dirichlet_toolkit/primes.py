@@ -95,26 +95,12 @@ class PrimeTable:
 
     def omega(self, n: int) -> int:
         """Number of prime factors counted with multiplicity."""
-        self._check_range(n)
-        count = 0
-        while n > 1:
-            p = int(self.smallest_factor[n])
-            while n % p == 0:
-                n //= p
-                count += 1
-        return count
+        return self.factor(n).omega
 
     def semigroup_member(self, n: int, index_set) -> bool:
         """True iff every prime factor of n has its index in index_set."""
-        self._check_range(n)
         index_set = set(index_set)
-        while n > 1:
-            p = int(self.smallest_factor[n])
-            if self.index_of[p] not in index_set:
-                return False
-            while n % p == 0:
-                n //= p
-        return True
+        return all(i in index_set for i, _ in self.factor(n).entries)
 
 
 def sieve(bound: int) -> PrimeTable:

@@ -8,6 +8,7 @@ so truncation commutes with the algebra maps.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -168,9 +169,12 @@ class TruncatedDirichletSeries:
         float results may differ from another order in the last bits.
         """
         a1 = self.coeffs.get(1)
-        if a1 is None or (self.mode == FLOAT and abs(a1) <= tolerance):
+        # hypot, unlike abs of a complex, overflows to inf instead of raising
+        if a1 is None or (self.mode == FLOAT and math.hypot(a1.real, a1.imag) <= tolerance):
             raise NotInvertibleError("leading coefficient a_1 vanishes")
         inv_a1 = scalars.one(self.mode) / a1 if self.mode == EXACT else 1.0 / a1
+        if self.mode == FLOAT and (inv_a1 == 0 or not cmath.isfinite(inv_a1)):
+            raise NumericFailureError(f"1/a_1 = {inv_a1} is not a usable float for a_1 = {a1}")
         tail = sorted(self.coeffs.items())[1:]  # a_1 is present and sorts first
         w = self.window
         b = {}

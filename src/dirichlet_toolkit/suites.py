@@ -4,6 +4,9 @@ Each suite checks one computable statement (ring/action laws, projection
 laws, the Bohr lemma at finite T, dilation contraction, seminorm convexity,
 inverse-closedness of invariants, coefficient recovery) over seeded random
 inputs.  Failures carry replayable inputs.
+
+Each suite is a body listed in ``SUITES`` with its default trial count;
+``run_suite`` seeds, runs and times it, and takes only a seed and a count.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from . import analysis, bohr
@@ -48,14 +51,7 @@ class SuiteResult:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "failures": self.failures,
-            "elapsed": self.elapsed,
-            "info": self.info,
-        }
+        return asdict(self)
 
 
 def _fail(result: SuiteResult, prop: str, inputs: dict, expected, got) -> None:
@@ -104,10 +100,7 @@ def standard_small_groups() -> list[tuple[str, PermutationGroup]]:
 # -- ring and action laws (suite "prop3.1a") ------------------------------
 
 
-def suite_prop31a(seed: int = 42, trials: int = 100) -> SuiteResult:
-    result = SuiteResult("prop3.1a", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _prop31a(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(30_000)
     pool = _pool(table, 6, 2, 100)
     for k in range(trials):
@@ -137,8 +130,6 @@ def suite_prop31a(seed: int = 42, trials: int = 100) -> SuiteResult:
         moved = act(sigma, u, table)
         if Counter(u.coeffs.values()) != Counter(moved.coeffs.values()):
             _fail(result, "isometry", {"seed": s}, "coefficient multiset preserved", "mismatch")
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- projection laws (suite "thm1.7") and the finite-average identity -----
@@ -146,10 +137,7 @@ def suite_prop31a(seed: int = 42, trials: int = 100) -> SuiteResult:
 _PROJ_BOUND = 140_000
 
 
-def suite_thm17(seed: int = 42, trials: int = 60) -> SuiteResult:
-    result = SuiteResult("thm1.7", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _thm17(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(_PROJ_BOUND)
     pool = _pool(table, 8, 2, 100)
     groups = standard_small_groups()
@@ -178,14 +166,9 @@ def suite_thm17(seed: int = 42, trials: int = 60) -> SuiteResult:
     for name, grp in groups:
         if project_invariant(unit, grp, table) != unit:
             _fail(result, "norm-one-at-unit", {"group": name}, "pi(1) == 1", "mismatch")
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
-def suite_lemma64(seed: int = 42, trials: int = 60) -> SuiteResult:
-    result = SuiteResult("lemma6.4", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _lemma64(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(_PROJ_BOUND)
     pool = _pool(table, 8, 2, 100)
     groups = standard_small_groups()
@@ -201,8 +184,6 @@ def suite_lemma64(seed: int = 42, trials: int = 60) -> SuiteResult:
                 "equal",
                 "mismatch",
             )
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- Bohr fundamental lemma at finite T -----------------------------------
@@ -218,17 +199,15 @@ def _random_bohr_series(seed: int, support_size: int = 4) -> TruncatedDirichletS
     return TruncatedDirichletSeries(window, coeffs, FLOAT)
 
 
-def suite_bohr_lemma(
-    seed: int = 42,
-    trials: int = 20,
-    T: float = 1e4,
-    samples: int = 200_000,
-    gap_tol: float = 1e-2,
-    required_fraction: float = 0.9,
-) -> SuiteResult:
-    result = SuiteResult("bohr-lemma", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+# line-sup window and samples, the relative gap that counts as attaining
+# the torus sup, and the share of trials that must attain it
+_BOHR_T = 1e4
+_BOHR_SAMPLES = 200_000
+_BOHR_GAP_TOL = 1e-2
+_BOHR_REQUIRED_FRACTION = 0.9
+
+
+def _bohr_lemma(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(64)
     gaps = []
     within = 0
@@ -238,7 +217,7 @@ def suite_bohr_lemma(
         p = bohr.bohr_lift(f, table)
         k = len(p.variables())
         tsup = bohr.torus_sup(p, 1.0, grid_per_var=bohr.auto_grid(k), seed=s)
-        ls = analysis.line_sup(f, 0.0, T, samples)
+        ls = analysis.line_sup(f, 0.0, _BOHR_T, _BOHR_SAMPLES)
         if ls.sup_estimate > tsup.value + 1e-9:
             _fail(
                 result,
@@ -249,32 +228,28 @@ def suite_bohr_lemma(
             )
         gap = (tsup.value - ls.sup_estimate) / max(tsup.value, 1e-30)
         gaps.append(gap)
-        if gap <= gap_tol:
+        if gap <= _BOHR_GAP_TOL:
             within += 1
+    required = int(_BOHR_REQUIRED_FRACTION * trials)
     result.info = {
         "max_relative_gap": max(gaps, default=0.0),
         "within_gap_tolerance": within,
-        "required": int(required_fraction * trials),
+        "required": required,
     }
-    if within < int(required_fraction * trials):
+    if within < required:
         _fail(
             result,
             "gap-fraction",
-            {"seed": seed},
-            f">= {int(required_fraction * trials)} of {trials} within {gap_tol}",
+            {"seed": result.seed},
+            f">= {required} of {trials} within {_BOHR_GAP_TOL}",
             str(within),
         )
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- dilation contraction (suite "prop1.1") -------------------------------
 
 
-def suite_prop11(seed: int = 42, trials: int = 20) -> SuiteResult:
-    result = SuiteResult("prop1.1", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _prop11(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(64)
     pool = _pool(table, 4, 3, 40)
     radii = [0.1 * i for i in range(1, 10)]
@@ -306,24 +281,21 @@ def suite_prop11(seed: int = 42, trials: int = 20) -> SuiteResult:
                     f"<= {est} + 1e-9",
                     str(est_r),
                 )
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- seminorm profiles (suite "prop1.2") ----------------------------------
 
 
-def suite_prop12(seed: int = 42, trials: int = 20, grid_points: int = 17) -> SuiteResult:
-    result = SuiteResult("prop1.2", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+_PROP12_R_GRID = [0.1 + 0.8 * i / 16 for i in range(17)]
+
+
+def _prop12(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(64)
     pool = _pool(table, 4, 3, 40)
-    r_grid = [0.1 + 0.8 * i / (grid_points - 1) for i in range(grid_points)]
     for _ in range(trials):
         s = rng.randrange(1 << 30)
         f = random_support_series(pool, s, 5, mode=FLOAT)
-        profile = analysis.seminorm_profile(f, r_grid, table, seed=s)
+        profile = analysis.seminorm_profile(f, _PROP12_R_GRID, table, seed=s)
         report = analysis.convexity_check(profile, tol=1e-6)
         if not report.passed:
             _fail(
@@ -339,17 +311,12 @@ def suite_prop12(seed: int = 42, trials: int = 20, grid_points: int = 17) -> Sui
         val = analysis.seminorm_Pr(fixture, r, table)
         if abs(val - r) > 1e-9:
             _fail(result, "monomial-fixture", {"r": r}, str(r), str(val))
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- restriction homomorphism and sub-torus monotonicity ------------------
 
 
-def suite_prop61(seed: int = 42, trials: int = 40) -> SuiteResult:
-    result = SuiteResult("prop6.1", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _prop61(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(30_000)
     pool = _pool(table, 5, 2, 100)
     nested = [{1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, 5}]
@@ -381,17 +348,12 @@ def suite_prop61(seed: int = 42, trials: int = 40) -> SuiteResult:
                     str(sups),
                 )
                 break
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- inverse-closedness of invariants (suite "lemma9.1") ------------------
 
 
-def suite_lemma91(seed: int = 42, trials: int = 40) -> SuiteResult:
-    result = SuiteResult("lemma9.1", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _lemma91(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(130_000)
     pool = _pool(table, 8, 2, 60)
     groups = standard_small_groups()
@@ -420,17 +382,12 @@ def suite_lemma91(seed: int = 42, trials: int = 40) -> SuiteResult:
         elif rep.status == "inconclusive":
             inconclusive += 1
     result.info = {"inconclusive": inconclusive}
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- coefficient recovery by discrete Cauchy integrals --------------------
 
 
-def suite_eq28(seed: int = 42, trials: int = 50) -> SuiteResult:
-    result = SuiteResult("eq2.8", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _eq28(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(64)
     pool = _pool(table, 4, 6, 64)
     for _ in range(trials):
@@ -459,14 +416,9 @@ def suite_eq28(seed: int = 42, trials: int = 50) -> SuiteResult:
             lhs = abs(expected) * r ** table.omega(n)
             if lhs > sup + 1e-9:
                 _fail(result, "coefficient-bound", {"seed": s, "n": n}, f"<= {sup}", str(lhs))
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
-def suite_perron(seed: int = 42, trials: int = 10) -> SuiteResult:
-    result = SuiteResult("perron", trials, seed)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _perron(result: SuiteResult, rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         s = rng.randrange(1 << 30)
         f = random_series(30, s, 0.3, mode=FLOAT)
@@ -484,8 +436,6 @@ def suite_perron(seed: int = 42, trials: int = 10) -> SuiteResult:
                 f"|err| <= {bound}",
                 str(abs(got - expected)),
             )
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
 # -- invariant polynomial counts (orbit sums) -----------------------------
@@ -502,9 +452,7 @@ def _partitions_leq(d: int, k: int) -> int:
     return table[d][k]
 
 
-def suite_orbit_sums(seed: int = 42, trials: int = 0) -> SuiteResult:
-    result = SuiteResult("orbit-sums", trials, seed)
-    t0 = time.perf_counter()
+def _orbit_sums(result: SuiteResult, rng: random.Random, trials: int) -> None:
     for k in (2, 3, 4):
         gens = [f"({i} {i + 1})" for i in range(1, k)]
         grp = PermutationGroup.from_cycles(*gens)
@@ -525,29 +473,31 @@ def suite_orbit_sums(seed: int = 42, trials: int = 0) -> SuiteResult:
                 if p.permute_variables(el) != p:
                     _fail(result, "fixed-pointwise", {"k": k}, "invariant", "moved")
                     break
-    result.elapsed = time.perf_counter() - t0
-    return result
 
 
+# name -> (body, default trial count); a body fills in ``result`` from ``rng``.
 SUITES = {
-    "prop3.1a": suite_prop31a,
-    "thm1.7": suite_thm17,
-    "lemma6.4": suite_lemma64,
-    "bohr-lemma": suite_bohr_lemma,
-    "prop1.1": suite_prop11,
-    "prop1.2": suite_prop12,
-    "prop6.1": suite_prop61,
-    "lemma9.1": suite_lemma91,
-    "eq2.8": suite_eq28,
-    "perron": suite_perron,
-    "orbit-sums": suite_orbit_sums,
+    "prop3.1a": (_prop31a, 100),
+    "thm1.7": (_thm17, 60),
+    "lemma6.4": (_lemma64, 60),
+    "bohr-lemma": (_bohr_lemma, 20),
+    "prop1.1": (_prop11, 20),
+    "prop1.2": (_prop12, 20),
+    "prop6.1": (_prop61, 40),
+    "lemma9.1": (_lemma91, 40),
+    "eq2.8": (_eq28, 50),
+    "perron": (_perron, 10),
+    "orbit-sums": (_orbit_sums, 0),
 }
 
 
-def run_suite(name: str, seed: int = 42, trials: int | None = None, **kwargs) -> SuiteResult:
+def run_suite(name: str, seed: int = 42, trials: int | None = None) -> SuiteResult:
+    """Run suite ``name`` on ``random.Random(seed)``; ``trials=None`` takes its default."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-    fn = SUITES[name]
-    if trials is None:
-        return fn(seed=seed, **kwargs)
-    return fn(seed=seed, trials=trials, **kwargs)
+    body, default_trials = SUITES[name]
+    result = SuiteResult(name, default_trials if trials is None else trials, seed)
+    t0 = time.perf_counter()
+    body(result, random.Random(seed), result.trials)
+    result.elapsed = time.perf_counter() - t0
+    return result

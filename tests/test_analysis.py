@@ -70,6 +70,14 @@ def test_line_sup_empty_series():
     assert line_sup(f, 0.0, 10.0, 100).sup_estimate == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_line_sup_overflow_is_a_numeric_failure():
+    # 60^1000 overflows the weight a_n n^{-sigma}; no NaN sup comes back
+    f = TruncatedDirichletSeries(60, {1: 1.0, 60: 1.0}, FLOAT)
+    with pytest.raises(NumericFailureError):
+        line_sup(f, -1000.0, 100.0, 100)
+
+
 # -- abscissa surrogate ---------------------------------------------------
 
 
@@ -181,3 +189,17 @@ def test_perron_overflowing_sum_detected():
     f = TruncatedDirichletSeries(10, {2: 1e308}, FLOAT)
     with pytest.raises(NumericFailureError):
         perron_recover(f, 2, 1.0, 10.0, steps=100)
+
+
+# -- the chunked line kernel ----------------------------------------------
+
+
+def test_line_kernel_values_do_not_depend_on_the_block_size(monkeypatch):
+    from dirichlet_toolkit import analysis
+
+    f = TruncatedDirichletSeries(40, {1: 0.5, 6: 1.0 - 2j, 17: -1.5, 31: 0.25j}, FLOAT)
+    whole = line_sup(f, 0.0, 200.0, 50_001), perron_recover(f, 6, 2.0, 300.0, steps=30_000)
+    # a block size that divides neither grid, so each ends in a partial block
+    monkeypatch.setattr(analysis, "_CHUNK", 997)
+    chunked = line_sup(f, 0.0, 200.0, 50_001), perron_recover(f, 6, 2.0, 300.0, steps=30_000)
+    assert chunked == whole

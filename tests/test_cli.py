@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_toolkit import TruncatedDirichletSeries, cli
+from dirichlet_toolkit import TruncatedDirichletSeries, cli, suites
 from dirichlet_toolkit.cli import main
 
 
@@ -87,6 +87,26 @@ def test_op_invert_noninvertible_exits_3(tmp_path):
     f = tmp_path / "f.json"
     run(["build", "monomial", "2", "1", "--out", str(f)])
     assert run(["op", "invert", str(f), "--out", str(tmp_path / "g.json")]) == 3
+
+
+@pytest.mark.parametrize(
+    "name, window, coeffs, message",
+    [
+        ("invert", 2, {"1": [1.5e308, 1.5e308], "2": [1, 0]}, "1/a_1 = "),
+        ("invert", 8, {"1": [1, 0], "2": [1e200, 0]}, "op invert: result coefficient 4 is"),
+        ("mul", 8, {"1": [1, 0], "2": [1e200, 0]}, "op mul: result coefficient 4 is"),
+    ],
+    ids=["invert-of-a-huge-a1", "invert-overflows", "mul-overflows"],
+)
+def test_float_op_with_a_nonfinite_result_exits_3(tmp_path, capsys, name, window, coeffs, message):
+    # the inputs are finite; 1/a_1 underflows to 0, or a result coefficient overflows
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": window, "mode": "float", "coeffs": coeffs}))
+    out = tmp_path / "o.json"
+    inputs = [str(f)] * (2 if name == "mul" else 1)
+    assert run(["op", name, *inputs, "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_op_lift_drop_round_trip(tmp_path):
@@ -215,6 +235,20 @@ def test_verify_suite_passes(tmp_path, capsys):
     assert code == 0
     doc = read_json(out)
     assert doc["suite"] == "lemma6.4" and doc["failures"] == []
+
+
+def test_verify_all_is_deterministic_apart_from_timing(tmp_path):
+    docs = []
+    for k in range(2):
+        out = tmp_path / f"all-{k}.json"
+        assert run(["verify", "--suite", "all", "--seed", "3", "--trials", "1", "--out", str(out)]) == 0
+        docs.append(read_json(out))
+    for doc in docs:
+        for record in doc:
+            assert record.pop("elapsed") >= 0
+    # field for field and in the same order
+    assert [list(r.items()) for r in docs[0]] == [list(r.items()) for r in docs[1]]
+    assert [r["suite"] for r in docs[0]] == list(suites.SUITES)
 
 
 def test_verify_unknown_suite():
