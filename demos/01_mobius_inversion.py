@@ -3,7 +3,7 @@
 Run:  python3 demos/01_mobius_inversion.py
 """
 
-from dirichlet_toolkit import TruncatedDirichletSeries, one
+from dirichlet_toolkit import TruncatedDirichletSeries
 from dirichlet_toolkit.builders import random_unit
 
 N = 32
@@ -20,7 +20,7 @@ print("\nThe inverse of the all-ones series is the Moebius function:")
 print("  +1 on squarefree n with an even number of prime factors,")
 print("  -1 on squarefree n with an odd number, 0 otherwise.")
 
-assert zeta * mu == one(N)
+assert zeta * mu == TruncatedDirichletSeries.unit(N)
 print(f"\nzeta * mu == 1 on [1..{N}]: verified exactly (rational arithmetic).")
 
 print("\n== inversion of a random unit ==\n")
@@ -28,7 +28,7 @@ u = random_unit(64, seed=11, density=0.2)
 v = u.invert()
 print(f"unit support: {u.support()}")
 print(f"inverse support size: {len(v)}")
-assert u * v == one(64)
+assert u * v == TruncatedDirichletSeries.unit(64)
 print("u * u^{-1} == 1: verified exactly.")
 
 print("\n== the ring is commutative and associative (spot check) ==\n")

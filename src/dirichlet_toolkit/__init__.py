@@ -40,9 +40,9 @@ from .group import (
     phi_restrict,
     project_invariant,
 )
-from .primes import Factorization, PrimeTable, sieve
+from .primes import Factorization, PrimeTable
 from .scalars import EXACT, FLOAT, ExactComplex
-from .series import TruncatedDirichletSeries, one
+from .series import TruncatedDirichletSeries
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "invariant_orbit_sums",
     "is_invariant",
     "line_sup",
-    "one",
     "partial_sum",
     "perron_error_bound",
     "perron_recover",
@@ -83,7 +82,6 @@ __all__ = [
     "project_invariant",
     "seminorm_Pr",
     "seminorm_profile",
-    "sieve",
     "sigma_u_plus_estimate",
     "torus_sup",
 ]

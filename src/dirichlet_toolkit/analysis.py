@@ -12,22 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scalars
+from . import bohr
 from .bohr import auto_grid, bohr_lift, torus_sup
 from .errors import NumericFailureError
 from .primes import PrimeTable
 from .series import TruncatedDirichletSeries
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+_GOLDEN_ITERS = 80  # golden-section steps per refined grid point
 _REFINE_CANDIDATES = 5  # best grid points that line_sup refines
 _CHUNK = 200_000  # t samples per matrix product in _line_values
 
 
 def _coeff_arrays(f: TruncatedDirichletSeries):
     ns = np.array(sorted(f.coeffs), dtype=float)
-    cs = np.array(
-        [scalars.to_complex(f.coeffs[int(n)]) for n in ns], dtype=np.complex128
-    )
+    cs = np.array([complex(f.coeffs[int(n)]) for n in ns], dtype=np.complex128)
     return ns, cs
 
 
@@ -50,17 +49,17 @@ def partial_sum(f: TruncatedDirichletSeries, s: complex) -> complex:
     s = complex(s)
     total = 0j
     for n, c in f.coeffs.items():
-        total += scalars.to_complex(c) * complex(np.exp(-s * math.log(n)))
+        total += complex(c) * complex(np.exp(-s * math.log(n)))
     return total
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
+def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
@@ -142,22 +141,23 @@ class SigmaUEstimate:
     value: float  # clamped at 0, matching the (.)^+ in the surrogate
     unclamped: float
     argmax_prefix: int
+    method: str  # "torus" or "line": how each prefix sup was estimated
 
     def as_record(self) -> dict:
         return {
             "value": self.value,
             "unclamped": self.unclamped,
-            "witness": {"prefix": self.argmax_prefix},
+            "witness": {"prefix": self.argmax_prefix, "method": self.method},
         }
 
 
-def sigma_u_plus_estimate(
-    f: TruncatedDirichletSeries,
-    table: PrimeTable,
-    sup_method: str = "torus",
-    T: float = 1000.0,
-    samples: int = 20_000,
-) -> SigmaUEstimate:
+# line_sup's t-range [-T, T] and grid size when sigma_u_plus_estimate
+# cannot afford the torus grid
+_SIGMA_U_T = 1000.0
+_SIGMA_U_SAMPLES = 20_000
+
+
+def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> SigmaUEstimate:
     """Window-limited surrogate for the abscissa of uniform convergence.
 
     Maximizes log(sup_t |prefix sum|) / log N' over prefixes 2 <= N' <=
@@ -165,20 +165,25 @@ def sigma_u_plus_estimate(
     points, and between changes the ratio is monotone in N', so only
     support points and the window itself are candidates.  This is an
     estimator of the limsup, not the limsup.
+
+    Each prefix sup is the torus sup of its lift at ``auto_grid`` when the
+    whole series' lift, in k variables, fits that grid within the torus
+    point budget (k <= 13); otherwise it is ``line_sup`` on sigma = 0 over
+    [-1000, 1000] with 20 000 samples, a lower estimate of the same sup.
     """
     if f.window < 2:
         raise ValueError("window must be >= 2")
-    if sup_method not in ("torus", "line"):
-        raise ValueError(f"unknown sup method {sup_method!r}")
+    k = len(bohr_lift(f, table).variables())
+    method = "torus" if auto_grid(k) ** k <= bohr._GRID_BUDGET else "line"
 
     def prefix_sup(Nprime: int) -> float:
         prefix = f.truncate(Nprime)
         if prefix.is_zero():
             return 0.0
-        if sup_method == "torus":
+        if method == "torus":
             p = bohr_lift(prefix.to_float(), table)
             return torus_sup(p, 1.0, grid_per_var=auto_grid(len(p.variables()))).value
-        return line_sup(prefix.to_float(), 0.0, T, samples).sup_estimate
+        return line_sup(prefix.to_float(), 0.0, _SIGMA_U_T, _SIGMA_U_SAMPLES).sup_estimate
 
     candidates = sorted({n for n in f.support() if n >= 2} | {f.window})
     if 1 in f.coeffs and (not candidates or candidates[0] > 2):
@@ -194,7 +199,7 @@ def sigma_u_plus_estimate(
             best, arg = ratio, Nprime
     if best == -math.inf:
         best = 0.0
-    return SigmaUEstimate(max(best, 0.0), best, arg)
+    return SigmaUEstimate(max(best, 0.0), best, arg, method)
 
 
 def seminorm_Pr(
@@ -248,13 +253,18 @@ class ConvexityReport:
     tolerance: float
 
 
-def convexity_check(profile: SeminormProfile, tol: float = 1e-6) -> ConvexityReport:
+# Slack of the convexity check, also the tolerance of the CLI's seminorm records.
+CONVEXITY_TOL = 1e-6
+
+
+def convexity_check(profile: SeminormProfile) -> ConvexityReport:
     """Convexity of log P against log r: chord defects at interior points.
 
-    Pass iff every defect >= -tol and the first differences of log P are
-    >= -tol (monotone nondecreasing).  Requires >= 3 grid points with
-    strictly positive values.
+    Pass iff every defect >= -CONVEXITY_TOL and the first differences of
+    log P are >= -CONVEXITY_TOL (monotone nondecreasing).  Requires >= 3
+    grid points with strictly positive values.
     """
+    tol = CONVEXITY_TOL
     if len(profile.r_grid) < 3:
         raise ValueError("need at least 3 grid points")
     if any(v <= 0 for v in profile.values):
@@ -337,7 +347,7 @@ def perron_exact_truncated(
         ratio = n / m
         x = R * math.log(ratio)
         sinc = 1.0 if x == 0 else math.sin(x) / x
-        total += scalars.to_complex(c) * ratio**kappa * sinc
+        total += complex(c) * ratio**kappa * sinc
     return total
 
 
@@ -349,7 +359,7 @@ def perron_error_bound(
     for m, c in f.coeffs.items():
         if m == n:
             continue
-        bound += abs(scalars.to_complex(c)) * (n / m) ** kappa / (
+        bound += abs(complex(c)) * (n / m) ** kappa / (
             R * abs(math.log(n / m))
         )
     return bound

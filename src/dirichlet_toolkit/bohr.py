@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalars
-from .errors import BudgetExceededError, TableTooSmallError, WindowOverflowError
+from .errors import (
+    BudgetExceededError,
+    NumericFailureError,
+    TableTooSmallError,
+    WindowOverflowError,
+)
 from .primes import PrimeTable
 from .scalars import EXACT, FLOAT
 from .series import TruncatedDirichletSeries
@@ -259,7 +264,7 @@ def poly_eval(p: SparseMultiPoly, z) -> complex:
         coords = z
     total = 0j
     for mono, c in p.terms.items():
-        val = scalars.to_complex(c)
+        val = complex(c)
         for i, e in mono:
             zi = coords.get(i, 0j)
             if zi == 0:
@@ -360,7 +365,8 @@ def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
     """
     if len(coeffs) <= 2:
         c0, c1 = coeffs[0], (coeffs[1] if len(coeffs) == 2 else 0)
-        t = cmath.phase(c0) - cmath.phase(c1) if c0 and c1 else 0.0
+        # math.atan2 is cmath.phase without its OverflowError on an underflowing angle
+        t = math.atan2(c0.imag, c0.real) - math.atan2(c1.imag, c1.real) if c0 and c1 else 0.0
         return float(abs(c0) + abs(c1)), t
     d = len(coeffs) - 1
     # Autocorrelation A_m = sum_j coeffs[j] * conj(coeffs[j-m]), m = -d..d.
@@ -486,27 +492,31 @@ def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]
     return theta, value, newton(theta)[1]
 
 
-def _check_grid(grid_per_var: int, k: int, budget: int) -> None:
-    """Reject an empty phase grid and one of more than ``budget`` points."""
+# Most phase-grid points that torus_sup and cauchy_coefficient evaluate.
+_GRID_BUDGET = 1 << 22
+
+
+def _check_grid(grid_per_var: int, k: int) -> None:
+    """Reject an empty phase grid and one of more than ``_GRID_BUDGET`` points."""
     if grid_per_var < 1:
         raise BudgetExceededError(f"grid must be >= 1, got {grid_per_var}")
-    if grid_per_var**k > budget:
+    if grid_per_var**k > _GRID_BUDGET:
         raise BudgetExceededError(
-            f"grid {grid_per_var}^{k} exceeds the point budget {budget}"
+            f"grid {grid_per_var}^{k} exceeds the point budget {_GRID_BUDGET}"
         )
 
 
-# Random starts of the optimizer after the best grid point.
+# Random starts of the optimizer after the best grid point, and the
+# coordinate-ascent cycles from each start.
 _RESTARTS = 6
+_ASCENT_CYCLES = 12
 
 
 def torus_sup(
     p: SparseMultiPoly,
     radius: float = 1.0,
     grid_per_var: int = 8,
-    refine_steps: int = 12,
     seed: int = 0,
-    budget: int = 1 << 22,
 ) -> TorusSupResult:
     """Certified lower bound on sup |p| over the torus of the given radius.
 
@@ -521,8 +531,8 @@ def torus_sup(
     pf = p.to_float()
     variables = pf.variables()
     k = len(variables)
-    _check_grid(grid_per_var, k, budget)
-    const = abs(scalars.to_complex(pf.terms.get((), 0j)))
+    _check_grid(grid_per_var, k)
+    const = abs(complex(pf.terms.get((), 0j)))
     if k == 0:
         return TorusSupResult(const, {}, {}, radius, True)
     radii = {v: radius for v in variables}
@@ -536,7 +546,7 @@ def torus_sup(
     starts = [theta_grid] + [rng.uniform(0.0, 2.0 * np.pi, size=k) for _ in range(_RESTARTS)]
 
     polished = [
-        _polish(weights, exps, _coordinate_ascent(weights, variables, exps, th0, refine_steps)[0])
+        _polish(weights, exps, _coordinate_ascent(weights, variables, exps, th0, _ASCENT_CYCLES)[0])
         for th0 in starts
     ]
     # max keeps the first of equal values, so the grid start wins ties
@@ -546,14 +556,22 @@ def torus_sup(
     return TorusSupResult(float(best_val), phases, point, radius, conv)
 
 
-def auto_grid(nvars: int, budget: int = 1 << 18, lo: int = 3, hi: int = 32) -> int:
-    """Largest per-variable grid size whose full grid fits the point budget."""
+# auto_grid's point budget and its range of grid sizes per variable.
+_AUTO_GRID_BUDGET = 1 << 18
+_AUTO_GRID_MIN = 3
+_AUTO_GRID_MAX = 32
+
+
+def auto_grid(nvars: int) -> int:
+    """Largest per-variable grid size in [3, 32] whose full grid has at most
+    2^18 points; 3 when even that grid has more.
+    """
     if nvars <= 0:
-        return hi
-    g = hi
-    while g > lo and g**nvars > budget:
+        return _AUTO_GRID_MAX
+    g = _AUTO_GRID_MAX
+    while g > _AUTO_GRID_MIN and g**nvars > _AUTO_GRID_BUDGET:
         g -= 1
-    return max(g, lo)
+    return g
 
 
 # -- Cauchy / DFT coefficient recovery ------------------------------------
@@ -565,7 +583,6 @@ def cauchy_coefficient(
     table: PrimeTable,
     grid_per_var: int,
     radius=0.5,
-    budget: int = 1 << 22,
 ) -> complex:
     """Recover a_n by a discrete Fourier average over a uniform torus grid.
 
@@ -582,9 +599,9 @@ def cauchy_coefficient(
     target = table.factor(n).as_dict()
     variables = sorted(set(pf.variables()) | set(target))
     k = len(variables)
-    _check_grid(grid_per_var, k, budget)
+    _check_grid(grid_per_var, k)
     if k == 0:
-        return scalars.to_complex(pf.terms.get((), 0j))
+        return complex(pf.terms.get((), 0j))
     if isinstance(radius, dict):
         radii = {v: float(radius.get(v, 0.5)) for v in variables}
     else:
@@ -606,4 +623,8 @@ def cauchy_coefficient(
     scale = 1.0
     for v in variables:
         scale *= radii[v] ** target.get(v, 0)
-    return complex(vals.mean() / scale)
+    got = complex(vals.mean() / scale)
+    # finite coefficients can still overflow the grid values or their mean
+    if not cmath.isfinite(got):
+        raise NumericFailureError(f"nonfinite Cauchy average {got} for a_{n}")
+    return got

@@ -14,38 +14,36 @@ from .scalars import EXACT, FLOAT, ExactComplex
 from .series import TruncatedDirichletSeries
 
 
+# Exact coefficients are p/q with |p| <= 9 and 1 <= q <= 4.
+_MAX_NUMERATOR = 9
+_MAX_DENOMINATOR = 4
+
+
+def _coefficient(rng: random.Random, mode: str, real_only: bool):
+    """One random coefficient: a small Gaussian rational, or standard normal parts."""
+    if mode == FLOAT:
+        return complex(rng.gauss(0.0, 1.0), 0.0 if real_only else rng.gauss(0.0, 1.0))
+
+    def part():
+        numerator = rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR)
+        return Fraction(numerator, rng.randint(1, _MAX_DENOMINATOR))
+
+    return ExactComplex(part(), 0 if real_only else part())
+
+
 def random_series(
     window: int,
     seed: int,
     density: float = 0.1,
     mode: str = EXACT,
-    max_numerator: int = 9,
-    max_denominator: int = 4,
     real_only: bool = False,
 ) -> TruncatedDirichletSeries:
     """Sparse random series; exact mode draws small rationals."""
     rng = random.Random(seed)
     coeffs = {}
     for n in range(1, window + 1):
-        if rng.random() >= density:
-            continue
-        if mode == EXACT:
-            re = Fraction(
-                rng.randint(-max_numerator, max_numerator),
-                rng.randint(1, max_denominator),
-            )
-            if real_only:
-                coeffs[n] = ExactComplex(re)
-            else:
-                im = Fraction(
-                    rng.randint(-max_numerator, max_numerator),
-                    rng.randint(1, max_denominator),
-                )
-                coeffs[n] = ExactComplex(re, im)
-        else:
-            re = rng.gauss(0.0, 1.0)
-            im = 0.0 if real_only else rng.gauss(0.0, 1.0)
-            coeffs[n] = complex(re, im)
+        if rng.random() < density:
+            coeffs[n] = _coefficient(rng, mode, real_only)
     return TruncatedDirichletSeries(window, coeffs, mode)
 
 
@@ -76,24 +74,14 @@ def random_support_series(
     rng = random.Random(seed)
     pool = sorted(support_pool)
     chosen = rng.sample(pool, min(size, len(pool)))
-    coeffs = {}
-    for n in chosen:
-        if mode == EXACT:
-            re = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            im = Fraction(0) if real_only else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            coeffs[n] = ExactComplex(re, im)
-        else:
-            coeffs[n] = complex(rng.gauss(0, 1), 0 if real_only else rng.gauss(0, 1))
-    window = max(pool)
-    return TruncatedDirichletSeries(window, coeffs, mode)
+    coeffs = {n: _coefficient(rng, mode, real_only) for n in chosen}
+    return TruncatedDirichletSeries(max(pool), coeffs, mode)
 
 
-def random_permutation(max_index: int, seed: int, moved: int | None = None) -> FiniteSupportPermutation:
-    """Random finitely supported permutation of [1..max_index]."""
+def random_permutation(max_index: int, seed: int) -> FiniteSupportPermutation:
+    """Random permutation of [1..max_index]."""
     rng = random.Random(seed)
-    if moved is None:
-        moved = max_index
-    points = rng.sample(range(1, max_index + 1), min(moved, max_index))
+    points = rng.sample(range(1, max_index + 1), max_index)
     images = points[:]
     rng.shuffle(images)
     return FiniteSupportPermutation(dict(zip(points, images)))

@@ -15,6 +15,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import analysis, bohr, suites
 from .builders import random_series
 from .errors import NumericFailureError, ToolkitError, WindowOverflowError
@@ -52,11 +54,19 @@ def _emit(doc, out: str | None) -> None:
         print(text)
 
 
-def _table_for(window: int) -> PrimeTable:
-    bound = max(window, 2)
-    if bound > _MAX_TABLE:
+def _table_for(window: int, top_index: int = 0) -> PrimeTable:
+    """A sieve up to ``window``, and far enough to hold p_1 .. p_max(top_index, 5).
+
+    The index part is capped at the sieve limit, so a larger index still
+    raises ``TableTooSmallError`` where its prime is needed; a window beyond
+    the limit is a usage error.
+    """
+    if window > _MAX_TABLE:
         raise ValueError(f"window {window} too large for a sieve (max {_MAX_TABLE})")
-    return PrimeTable(bound)
+    # Rosser: p_i < i (ln i + ln ln i) for i >= 6, and p_5 = 11.
+    i = top_index
+    rosser = int(i * math.log(i * math.log(i))) if i >= 6 else 11
+    return PrimeTable(max(window, min(rosser, _MAX_TABLE)))
 
 
 def _drop_table(p: bohr.SparseMultiPoly) -> PrimeTable:
@@ -65,10 +75,7 @@ def _drop_table(p: bohr.SparseMultiPoly) -> PrimeTable:
     A variable whose prime lies beyond the sieve limit raises
     ``TableTooSmallError``; a monomial integer beyond it, ``WindowOverflowError``.
     """
-    top = max(p.variables(), default=1)
-    # Rosser: p_i < i (ln i + ln ln i) for i >= 6, and p_5 = 11.
-    rosser = int(top * math.log(top * math.log(top))) if top >= 6 else 11
-    small = _table_for(min(rosser, _MAX_TABLE))
+    small = _table_for(2, max(p.variables(), default=0))
     largest = max((math.prod(small.prime(i) ** e for i, e in m) for m in p.terms), default=1)
     if largest > _MAX_TABLE:
         raise WindowOverflowError(f"monomial integer {largest} beyond the sieve limit {_MAX_TABLE}")
@@ -134,6 +141,11 @@ def _group_from_args(args) -> PermutationGroup:
     return PermutationGroup.from_cycles(*args.gens)
 
 
+def _top_moved(perms) -> int:
+    """The largest index that any of the permutations moves, 0 when none does."""
+    return max((i for g in perms for i in g.support), default=0)
+
+
 def cmd_op(args, argv) -> int:
     name = args.name
     arity = 2 if name in ("add", "mul") else 1
@@ -158,15 +170,17 @@ def cmd_op(args, argv) -> int:
             out = bohr.bohr_lift(a, _table_for(a.window))
         elif name == "act":
             sigma = FiniteSupportPermutation.from_cycles(args.perm or "")
-            out = act(sigma, a, _table_for(a.window))
+            out = act(sigma, a, _table_for(a.window, _top_moved([sigma])))
         elif name == "project":
             grp = _group_from_args(args)
-            out = project_invariant(a, grp, _table_for(a.window), policy=args.policy)
+            table = _table_for(a.window, _top_moved(grp.generators))
+            out = project_invariant(a, grp, table, policy=args.policy)
         elif name == "restrict":
             indices = {int(tok) for tok in args.indices.split(",")}
             out = phi_restrict(a, indices, _table_for(a.window))
         elif name == "average":
-            out = group_average(a, _group_from_args(args), _table_for(a.window))
+            grp = _group_from_args(args)
+            out = group_average(a, grp, _table_for(a.window, _top_moved(grp.generators)))
         else:
             raise ValueError(f"unknown op {name!r}")
     if out.mode == FLOAT:
@@ -206,9 +220,7 @@ def cmd_analyze(args, argv) -> int:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     if args.kind == "torus-sup":
         p = bohr.bohr_lift(f, table)
-        res = bohr.torus_sup(
-            p, args.r, grid_per_var=args.grid, refine_steps=args.refine, seed=args.seed
-        )
+        res = bohr.torus_sup(p, args.r, grid_per_var=args.grid, seed=args.seed)
         _emit(_record("torus-sup", params, res.value, None, res.as_record()), args.out)
     elif args.kind == "line-sup":
         rep = analysis.line_sup(f, args.sigma, args.T, args.samples)
@@ -224,14 +236,14 @@ def cmd_analyze(args, argv) -> int:
                 writer = csv.writer(fh)
                 writer.writerow(["r", "value", "tolerance"])
                 for r, v in zip(profile.r_grid, profile.values):
-                    writer.writerow([r, v, 1e-6])
+                    writer.writerow([r, v, analysis.CONVEXITY_TOL])
         else:
             _emit(
                 _record(
                     "seminorm-profile",
                     params,
                     profile.values,
-                    1e-6,
+                    analysis.CONVEXITY_TOL,
                     {"r_grid": profile.r_grid},
                 ),
                 args.out,
@@ -322,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--r", type=float, default=1.0)
     a.add_argument("--r-grid", dest="r_grid", default="0.1:0.9:17")
     a.add_argument("--grid", type=int, default=8)
-    a.add_argument("--refine", type=int, default=12)
     a.add_argument("--sigma", type=float, default=0.0)
     a.add_argument("--T", type=float, default=100.0)
     a.add_argument("--samples", type=int, default=20_000)
@@ -342,7 +353,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, ["dirichlet-toolkit"] + argv)
+        # every float kernel checks its results for finiteness and raises
+        # NumericFailureError, so numpy's overflow warnings only add noise
+        with np.errstate(all="ignore"):
+            return args.func(args, ["dirichlet-toolkit"] + argv)
     except NumericFailureError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -27,9 +27,12 @@ from .primes import PrimeTable
 from .scalars import EXACT
 from .series import TruncatedDirichletSeries
 
-DEFAULT_CEILING = 2**63 - 1
-DEFAULT_ENUMERATION_CAP = 10_000
-DEFAULT_INDEX_BOUND = 100_000
+# The largest integer an image sigma_hat(n) may reach, the prime-index bound
+# of project_invariant's orbit searches, and the most group elements that
+# PermutationGroup.elements enumerates.
+CEILING = 2**63 - 1
+INDEX_BOUND = 100_000
+ENUMERATION_CAP = 10_000
 
 
 def _closure(start, step, limit: int | None = None):
@@ -191,36 +194,17 @@ class PermutationGroup:
     """Generator-presented group of index permutations.
 
     Enumeration of all elements is attempted lazily and only for groups of
-    finite-support generators whose order stays within the cap.
+    finite-support generators of order at most ``ENUMERATION_CAP``.
     """
 
-    def __init__(self, generators, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
+    def __init__(self, generators):
         self.generators = list(generators)
-        self.enumeration_cap = enumeration_cap
         self._elements: list[FiniteSupportPermutation] | None = None
         self._enumeration_failed = False
 
     @classmethod
-    def from_cycles(cls, *cycle_strings, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
-        return cls(
-            [FiniteSupportPermutation.from_cycles(s) for s in cycle_strings],
-            enumeration_cap,
-        )
-
-    @classmethod
-    def from_json_dict(cls, doc: dict):
-        return cls.from_cycles(
-            *doc["generators"],
-            enumeration_cap=doc.get("enumeration_cap", DEFAULT_ENUMERATION_CAP),
-        )
-
-    def to_json_dict(self) -> dict:
-        gens = []
-        for g in self.generators:
-            if not isinstance(g, FiniteSupportPermutation):
-                raise ValueError("only finite-support generators serialize to JSON")
-            gens.append(g.to_cycles())
-        return {"generators": gens, "enumeration_cap": self.enumeration_cap}
+    def from_cycles(cls, *cycle_strings):
+        return cls([FiniteSupportPermutation.from_cycles(s) for s in cycle_strings])
 
     def elements(self) -> list[FiniteSupportPermutation] | None:
         """Full element list, or None when enumeration is not possible."""
@@ -234,7 +218,7 @@ class PermutationGroup:
             seen, _ = _closure(
                 [FiniteSupportPermutation.identity()],
                 lambda el: (g * el for g in gens),
-                self.enumeration_cap,
+                ENUMERATION_CAP,
             )
         if seen is None:
             self._enumeration_failed = True
@@ -263,20 +247,13 @@ def _vector_value(exponents: dict[int, int], table: PrimeTable, ceiling: int) ->
     return n
 
 
-def hat_apply(
-    sigma, n: int, table: PrimeTable, ceiling: int = DEFAULT_CEILING
-) -> int:
+def hat_apply(sigma, n: int, table: PrimeTable) -> int:
     """sigma_hat(n) = prod p_{sigma(i)}^{e_i} for n = prod p_i^{e_i}."""
     vec = table.factor(n).as_dict()
-    return _vector_value({sigma(i): e for i, e in vec.items()}, table, ceiling)
+    return _vector_value({sigma(i): e for i, e in vec.items()}, table, CEILING)
 
 
-def act(
-    sigma,
-    f: TruncatedDirichletSeries,
-    table: PrimeTable,
-    ceiling: int = DEFAULT_CEILING,
-) -> TruncatedDirichletSeries:
+def act(sigma, f: TruncatedDirichletSeries, table: PrimeTable) -> TruncatedDirichletSeries:
     """Transport coefficients: result coefficient at sigma_hat(n) is a_n.
 
     The window is enlarged to cover the image of the support, since the
@@ -285,7 +262,7 @@ def act(
     out = {}
     window = f.window
     for n, c in f.coeffs.items():
-        m = hat_apply(sigma, n, table, ceiling)
+        m = hat_apply(sigma, n, table)
         out[m] = c
         window = max(window, m)
     return TruncatedDirichletSeries(window, out, f.mode)
@@ -308,10 +285,6 @@ class IntegerOrbit:
     status: str  # "finite" | "unresolved"
     bound: int
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class OrbitPartition:
@@ -326,18 +299,14 @@ class OrbitPartition:
         raise ValueError(f"index {i} beyond partition bound {self.index_bound}")
 
 
-def integer_orbit(
-    generators,
-    n: int,
-    bound: int,
-    table: PrimeTable,
-    ceiling: int = DEFAULT_CEILING,
-) -> IntegerOrbit:
+def integer_orbit(generators, n: int, bound: int, table: PrimeTable) -> IntegerOrbit:
     """BFS closure of n under sigma_hat of every generator and inverse.
 
     The closure is tracked on factorization exponent vectors, so members may
-    be certified without factoring the (possibly large) images.  If any
-    image exceeds ``bound`` the orbit is reported unresolved, not an error.
+    be certified without factoring the (possibly large) images.  The start
+    n is a member even beyond ``bound``; if any other image exceeds it, or
+    the product ceiling or the table, the orbit is reported unresolved, not
+    an error.
     """
     start = tuple(sorted(table.factor(n).as_dict().items()))
 
@@ -345,24 +314,28 @@ def integer_orbit(
         for _, image in _images(generators, dict(vec)):
             key = tuple(sorted(image.items()))
             try:
-                if key != start:  # n itself is a member even beyond the bound
-                    _vector_value(image, table, min(bound, ceiling))
+                if key != start:
+                    _vector_value(image, table, min(bound, CEILING))
             except (ProductCeilingError, TableTooSmallError):
                 key = None
             yield key
 
     vecs, escaped = _closure([start], step)
-    members = sorted(_vector_value(dict(vec), table, ceiling) for vec in vecs)
+    members = sorted(_vector_value(dict(vec), table, CEILING) for vec in vecs)
     return IntegerOrbit(n, tuple(members), "unresolved" if escaped else "finite", bound)
 
 
 def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
-    """Orbit of a single prime index under the generators, BFS-bounded."""
+    """Orbit of a single prime index under the generators, BFS-bounded.
+
+    As in ``integer_orbit``, the start i is a member even beyond ``bound``;
+    the orbit is unresolved when any other image exceeds it.
+    """
 
     def step(j):
         for g in generators:
             for image in (g(j), g.inv(j)):
-                yield None if image > bound else image
+                yield None if image > bound and image != i else image
 
     members, escaped = _closure([i], step)
     return tuple(sorted(members)), "unresolved" if escaped else "finite"
@@ -389,9 +362,7 @@ def index_orbits(generators, M: int) -> OrbitPartition:
 def _all_elements(group: PermutationGroup) -> list[FiniteSupportPermutation]:
     elements = group.elements()
     if elements is None:
-        raise GroupTooLargeError(
-            f"group has no enumeration within cap {group.enumeration_cap}"
-        )
+        raise GroupTooLargeError(f"group has no enumeration within cap {ENUMERATION_CAP}")
     return elements
 
 
@@ -400,8 +371,6 @@ def project_invariant(
     group: PermutationGroup,
     table: PrimeTable,
     policy: str = "error",
-    index_bound: int = DEFAULT_INDEX_BOUND,
-    ceiling: int = DEFAULT_CEILING,
 ) -> TruncatedDirichletSeries:
     """Orbit-averaging projection onto invariant series.
 
@@ -418,7 +387,7 @@ def project_invariant(
 
     def step(vec):
         for _, image in _images(gens, dict(vec)):
-            _vector_value(image, table, ceiling)  # errors propagate
+            _vector_value(image, table, CEILING)  # errors propagate
             yield tuple(sorted(image.items()))
 
     zero = scalars.zero(f.mode)
@@ -433,19 +402,19 @@ def project_invariant(
         for i in vec:
             if i not in finite:
                 # every member of an index orbit shares its status
-                orbit, status = index_orbit(gens, i, index_bound)
+                orbit, status = index_orbit(gens, i, INDEX_BOUND)
                 finite.update(dict.fromkeys(orbit, status == "finite"))
         if not all(finite[i] for i in vec):
             if policy == "error":
                 raise UnresolvedOrbitError(
                     f"orbit of a prime index of {n} is not certified finite "
-                    f"within bound {index_bound}"
+                    f"within bound {INDEX_BOUND}"
                 )
             done.add(n)
             continue
         # every index orbit is finite, so this closure is finite too
         vecs, _ = _closure([tuple(sorted(vec.items()))], step)
-        members = sorted(_vector_value(dict(v), table, ceiling) for v in vecs)
+        members = sorted(_vector_value(dict(v), table, CEILING) for v in vecs)
         total = zero
         for k in members:
             total = total + f.coeffs.get(k, zero)
@@ -462,10 +431,7 @@ def project_invariant(
 
 
 def group_average(
-    f: TruncatedDirichletSeries,
-    group: PermutationGroup,
-    table: PrimeTable,
-    ceiling: int = DEFAULT_CEILING,
+    f: TruncatedDirichletSeries, group: PermutationGroup, table: PrimeTable
 ) -> TruncatedDirichletSeries:
     """Plain average of the transported series over all enumerated elements.
 
@@ -476,7 +442,7 @@ def group_average(
     acc: dict[int, object] = {}
     window = f.window
     for el in elements:
-        moved = act(el, f, table, ceiling)
+        moved = act(el, f, table)
         window = max(window, moved.window)
         for n, c in moved.coeffs.items():
             acc[n] = acc[n] + c if n in acc else c
@@ -497,10 +463,7 @@ class InvarianceReport:
 
 
 def is_invariant(
-    f: TruncatedDirichletSeries,
-    group: PermutationGroup,
-    table: PrimeTable,
-    ceiling: int = DEFAULT_CEILING,
+    f: TruncatedDirichletSeries, group: PermutationGroup, table: PrimeTable
 ) -> InvarianceReport:
     """Check a_{sigma_hat(n)} = a_n over the support closure within the window.
 
@@ -520,7 +483,7 @@ def is_invariant(
         for n in frontier:
             for g, image_vec in _images(gens, table.factor(n).as_dict()):
                 try:
-                    m = _vector_value(image_vec, table, ceiling)
+                    m = _vector_value(image_vec, table, CEILING)
                 except (ProductCeilingError, TableTooSmallError):
                     escaped = True
                     continue

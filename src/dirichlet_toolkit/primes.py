@@ -101,7 +101,3 @@ class PrimeTable:
         """True iff every prime factor of n has its index in index_set."""
         index_set = set(index_set)
         return all(i in index_set for i, _ in self.factor(n).entries)
-
-
-def sieve(bound: int) -> PrimeTable:
-    return PrimeTable(bound)

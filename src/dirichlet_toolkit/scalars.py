@@ -116,9 +116,6 @@ class ExactComplex:
     def conjugate(self) -> "ExactComplex":
         return _exact(self.re, -self.im)
 
-    def abs_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def __abs__(self) -> float:
         return math.hypot(float(self.re), float(self.im))
 
@@ -172,10 +169,6 @@ def is_zero(value) -> bool:
     if isinstance(value, ExactComplex):
         return not value
     return value == 0
-
-
-def to_complex(value) -> complex:
-    return complex(value)
 
 
 def scalar_to_json(value):

@@ -18,6 +18,9 @@ from .errors import NotInvertibleError, NumericFailureError
 from .primes import PrimeTable
 from .scalars import EXACT, FLOAT, ExactComplex
 
+# Largest modulus of a float a_1 that invert treats as zero.
+_A1_TOLERANCE = 1e-12
+
 
 class TruncatedDirichletSeries:
     """Sparse coefficients a_n on the window [1..N], no stored zeros."""
@@ -41,10 +44,6 @@ class TruncatedDirichletSeries:
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, window: int, mode: str = EXACT):
-        return cls(window, {}, mode)
 
     @classmethod
     def unit(cls, window: int, mode: str = EXACT):
@@ -155,7 +154,7 @@ class TruncatedDirichletSeries:
 
     __mul__ = mul
 
-    def invert(self, tolerance: float = 1e-12):
+    def invert(self):
         """Convolution inverse on the window, by a forward divisor push.
 
         With b_1 = 1/a_1, the recursion b_n = -(1/a_1) * sum over d | n,
@@ -166,11 +165,12 @@ class TruncatedDirichletSeries:
         The work is one product per (nonzero b_m, tail index d <= N // m)
         pair, set by the multiplicative closure of the support and not by
         the window.  Exact results do not depend on the order of the sum;
-        float results may differ from another order in the last bits.
+        float results may differ from another order in the last bits.  A
+        float a_1 of modulus at most ``_A1_TOLERANCE`` counts as zero.
         """
         a1 = self.coeffs.get(1)
         # hypot, unlike abs of a complex, overflows to inf instead of raising
-        if a1 is None or (self.mode == FLOAT and math.hypot(a1.real, a1.imag) <= tolerance):
+        if a1 is None or (self.mode == FLOAT and math.hypot(a1.real, a1.imag) <= _A1_TOLERANCE):
             raise NotInvertibleError("leading coefficient a_1 vanishes")
         inv_a1 = scalars.one(self.mode) / a1 if self.mode == EXACT else 1.0 / a1
         if self.mode == FLOAT and (inv_a1 == 0 or not cmath.isfinite(inv_a1)):
@@ -275,6 +275,3 @@ class TruncatedDirichletSeries:
     @classmethod
     def load(cls, path):
         return cls.from_json_dict(scalars._read_json(path))
-
-def one(window: int, mode: str = EXACT) -> TruncatedDirichletSeries:
-    return TruncatedDirichletSeries.unit(window, mode)

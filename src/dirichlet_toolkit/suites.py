@@ -189,12 +189,15 @@ def _lemma64(result: SuiteResult, rng: random.Random, trials: int) -> None:
 # -- Bohr fundamental lemma at finite T -----------------------------------
 
 
-def _random_bohr_series(seed: int, support_size: int = 4) -> TruncatedDirichletSeries:
+_BOHR_SUPPORT_SIZE = 4
+
+
+def _random_bohr_series(seed: int) -> TruncatedDirichletSeries:
     # Sparse supports keep the Kronecker approximation on the vertical line
     # fast enough that a finite sample window nearly attains the torus sup.
     rng = random.Random(seed)
     window = rng.randint(6, 20)
-    support = rng.sample(range(1, window + 1), min(support_size, window))
+    support = rng.sample(range(1, window + 1), _BOHR_SUPPORT_SIZE)
     coeffs = {n: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for n in support}
     return TruncatedDirichletSeries(window, coeffs, FLOAT)
 
@@ -296,7 +299,7 @@ def _prop12(result: SuiteResult, rng: random.Random, trials: int) -> None:
         s = rng.randrange(1 << 30)
         f = random_support_series(pool, s, 5, mode=FLOAT)
         profile = analysis.seminorm_profile(f, _PROP12_R_GRID, table, seed=s)
-        report = analysis.convexity_check(profile, tol=1e-6)
+        report = analysis.convexity_check(profile)
         if not report.passed:
             _fail(
                 result,

@@ -14,7 +14,6 @@ from dirichlet_toolkit import (
     TruncatedDirichletSeries,
     bohr_drop,
     bohr_lift,
-    one,
 )
 from dirichlet_toolkit import suites
 from dirichlet_toolkit.analysis import perron_recover
@@ -58,7 +57,7 @@ def test_criterion_02_inversion_oracle():
 
     mu = TruncatedDirichletSeries.zeta(128).invert()
     ok = all(mu.coefficient(n) == ExactComplex(mobius(n)) for n in range(1, 129))
-    unit = one(128)
+    unit = TruncatedDirichletSeries.unit(128)
     failures = 0
     for i in range(200):
         u = random_unit(128, SEED + i, 0.1)

@@ -66,7 +66,7 @@ def test_line_sup_decreases_in_sigma():
 
 
 def test_line_sup_empty_series():
-    f = TruncatedDirichletSeries.zero(10, FLOAT)
+    f = TruncatedDirichletSeries(10, {}, FLOAT)
     assert line_sup(f, 0.0, 10.0, 100).sup_estimate == 0.0
 
 
@@ -83,10 +83,11 @@ def test_line_sup_overflow_is_a_numeric_failure():
 
 def test_sigma_u_zeta(table):
     # Prefix sups of zeta_N grow like N, so the ratio tends to 1.
-    # 18 active prime variables make the torus grid infeasible; the line
-    # method evaluates the same sup directly.
+    # 18 active prime variables make the torus grid infeasible, so the
+    # estimate takes the line method, which evaluates the same sup directly.
     f = TruncatedDirichletSeries.zeta(64, FLOAT)
-    est = sigma_u_plus_estimate(f, table, sup_method="line", T=10_000.0, samples=100_000)
+    est = sigma_u_plus_estimate(f, table)
+    assert est.method == "line"
     assert est.value == pytest.approx(1.0, abs=0.02)
 
 
@@ -126,14 +127,14 @@ def test_seminorm_profile_and_convexity(table):
     f = TruncatedDirichletSeries(20, {2: 1.0 + 1j, 6: -0.5, 9: 2.0j}, FLOAT)
     grid = [0.1 + 0.1 * i for i in range(9)]
     profile = seminorm_profile(f, grid, table, seed=3)
-    report = convexity_check(profile, tol=1e-6)
+    report = convexity_check(profile)
     assert report.passed
     assert report.monotone
 
 
 def test_convexity_check_rejects_bad_profile():
     profile = SeminormProfile([0.1, 0.2, 0.4], [1.0, 8.0, 9.0])
-    report = convexity_check(profile, tol=1e-6)
+    report = convexity_check(profile)
     assert not report.passed  # log-concave bump violates convexity
 
 

@@ -286,7 +286,7 @@ def test_torus_sup_radius_scaling():
 def test_torus_sup_budget():
     p = SparseMultiPoly(8, {tuple((i, 1) for i in range(1, 9)): 1.0}, FLOAT)
     with pytest.raises(BudgetExceededError):
-        torus_sup(p, 1.0, grid_per_var=32, budget=1 << 10)
+        torus_sup(p, 1.0, grid_per_var=32)
 
 
 def test_torus_sup_deterministic():

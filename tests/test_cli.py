@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -179,12 +181,27 @@ def test_op_restrict(tmp_path):
     assert TruncatedDirichletSeries.load(out).support() == [1, 2, 4, 8]
 
 
-def test_op_project_beyond_the_table_exits_3(tmp_path, capsys):
-    # the sieve covers the window 10, which holds 4 primes; (1 5) needs p_5 = 11
+def test_op_project_sieves_to_the_generators(tmp_path):
+    # the window 10 holds 4 primes; the sieve also covers p_5 = 11, which (1 5) reaches
     f = tmp_path / "f.json"
     run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
-    assert run(["op", "project", str(f), "--gens", "(1 5)", "--out", str(tmp_path / "p.json")]) == 3
-    assert "prime index 5 beyond table" in capsys.readouterr().err
+    out = tmp_path / "p.json"
+    assert run(["op", "project", str(f), "--gens", "(1 5)", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["window"] == 11 and doc["coeffs"] == {"2": ["1/2", "0"], "11": ["1/2", "0"]}
+
+
+def test_op_project_beyond_the_table_exits_3(tmp_path, capsys):
+    # the sieve stops at its limit 10^7, which holds 664579 primes; (1 700000)
+    # needs more.  Projection first finds index 700000 beyond its orbit bound
+    # 100000; the action needs the prime itself.
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
+    out = str(tmp_path / "p.json")
+    assert run(["op", "project", str(f), "--gens", "(1 700000)", "--out", out]) == 3
+    assert "not certified finite within bound 100000" in capsys.readouterr().err
+    assert run(["op", "act", str(f), "--perm", "(1 700000)", "--out", out]) == 3
+    assert "prime index 700000 beyond table" in capsys.readouterr().err
 
 
 def test_op_project_needs_gens(tmp_path):
@@ -335,6 +352,48 @@ def test_analyze_torus_sup_of_subnormal_coefficients(tmp_path, coeffs, expected)
     assert read_json(out)["value"] == pytest.approx(expected, rel=0, abs=1e-323)
 
 
+def test_analyze_sigma_u_of_a_series_beyond_the_torus_grid(tmp_path):
+    # zeta(64) lifts to 18 variables: even the 3^18-point torus grid exceeds the budget
+    f = tmp_path / "zeta.json"
+    run(["build", "zeta", "--window", "64", "--mode", "float", "--out", str(f)])
+    out = tmp_path / "s.json"
+    assert run(["analyze", "sigma-u", str(f), "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["witness"]["witness"]["method"] == "line"
+    assert doc["value"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_analyze_cauchy_overflow_is_a_numeric_failure(tmp_path, capsys):
+    # the l1 sum is finite, but the grid average of the lift overflows
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": 2, "mode": "float", "coeffs": {"2": [1e308, 1e308]}}))
+    out = tmp_path / "c.json"
+    assert run(["analyze", "cauchy", str(f), "--grid", "3", "--n", "2", "--out", str(out)]) == 3
+    assert "nonfinite Cauchy average" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_failure_prints_no_numpy_warning(tmp_path, capsys):
+    # 60^1000 overflows line-sup's weights: exit 3 with its own message only
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": 60, "mode": "float", "coeffs": {"1": [1, 0], "60": [1, 0]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["analyze", "line-sup", str(f), "--sigma", "-1000", "--out", str(tmp_path / "o.json")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+def test_analyze_torus_sup_with_an_underflowing_phase(tmp_path):
+    # the phase of 1e308 + 1e-313 i underflows, which cmath.phase reports as an OverflowError
+    f = tmp_path / "f.json"
+    coeffs = {"1": [0.0, 1.0], "2": [1e308, 1e-313]}
+    f.write_text(json.dumps({"window": 2, "mode": "float", "coeffs": coeffs}))
+    out = tmp_path / "t.json"
+    assert run(["analyze", "torus-sup", str(f), "--out", str(out)]) == 0
+    assert read_json(out)["value"] == 1e308
+
+
 def test_analyze_line_sup_builds_no_sieve(tmp_path):
     # a window far beyond the sieve limit, which line-sup never needs
     f = tmp_path / "f.json"
@@ -444,8 +503,9 @@ _series_doc = st.one_of(
 )
 _COMMANDS = [
     ["analyze", "line-sup", "--T", "5", "--samples", "101"],
-    ["analyze", "torus-sup", "--grid", "3", "--refine", "2"],
+    ["analyze", "torus-sup", "--grid", "3"],
     ["analyze", "perron", "--n", "2", "--R", "50", "--steps", "400"],
+    ["analyze", "cauchy", "--grid", "3", "--n", "2"],
     ["op", "invert"],
 ]
 
@@ -460,5 +520,18 @@ def fuzz_dir(tmp_path_factory):
 def test_fuzzed_series_file_exits_cleanly(fuzz_dir, doc, command):
     f = fuzz_dir / "doc.json"
     f.write_text(json.dumps(doc))
-    args = [*command[:2], str(f), *command[2:], "--out", str(fuzz_dir / "out.json")]
-    assert run(args) in (0, 2, 3)
+    out = fuzz_dir / "out.json"
+    args = [*command[:2], str(f), *command[2:], "--out", str(out)]
+    code = run(args)
+    assert code in (0, 2, 3)
+    if code == 0 and command[0] == "analyze":
+        assert all(math.isfinite(x) for x in _numbers(read_json(out)))
+
+
+def _numbers(doc):
+    """Every number in a JSON document, booleans excluded."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numbers(item)]
+    return [doc] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []

@@ -29,6 +29,7 @@ from dirichlet_toolkit.errors import (
     TableTooSmallError,
     UnresolvedOrbitError,
 )
+from dirichlet_toolkit import group
 from dirichlet_toolkit.group import index_orbit
 
 
@@ -87,11 +88,12 @@ def test_hat_apply_is_completely_multiplicative(table):
         )
 
 
-def test_hat_apply_ceiling(table):
+def test_hat_apply_ceiling(table, monkeypatch):
+    monkeypatch.setattr(group, "CEILING", 50_000)
     sigma = FiniteSupportPermutation.from_cycles("(1 2)")
     # 1024 = 2^10 maps to 3^10 = 59049 > ceiling
     with pytest.raises(ProductCeilingError):
-        hat_apply(sigma, 1024, table, ceiling=50_000)
+        hat_apply(sigma, 1024, table)
 
 
 def test_act_transports_coefficients(table):
@@ -116,26 +118,19 @@ def test_group_enumeration_orders():
     assert PermutationGroup.from_cycles().order() == 1
 
 
-def test_group_enumeration_cap():
-    grp = PermutationGroup.from_cycles("(1 2)", "(2 3)", enumeration_cap=4)
+def test_group_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(group, "ENUMERATION_CAP", 4)
+    grp = PermutationGroup.from_cycles("(1 2)", "(2 3)")
     assert grp.elements() is None
     assert grp.order() is None
 
 
-def test_group_enumeration_cap_boundary():
+def test_group_enumeration_cap_boundary(monkeypatch):
     # a group of order exactly the cap is still enumerated
-    assert len(PermutationGroup.from_cycles("(1 2)", "(2 3)", enumeration_cap=6).elements()) == 6
-    assert PermutationGroup.from_cycles("(1 2)", "(2 3)", enumeration_cap=5).elements() is None
-
-
-def test_group_json_round_trip():
-    grp = PermutationGroup.from_cycles("(1 2)", "(3 4 5)")
-    doc = grp.to_json_dict()
-    back = PermutationGroup.from_json_dict(doc)
-    assert back.order() == grp.order()
-    assert {g.to_cycles() for g in back.generators} == {
-        g.to_cycles() for g in grp.generators
-    }
+    monkeypatch.setattr(group, "ENUMERATION_CAP", 6)
+    assert len(PermutationGroup.from_cycles("(1 2)", "(2 3)").elements()) == 6
+    monkeypatch.setattr(group, "ENUMERATION_CAP", 5)
+    assert PermutationGroup.from_cycles("(1 2)", "(2 3)").elements() is None
 
 
 def test_integer_orbit_finite(table):
@@ -166,6 +161,20 @@ def test_index_orbit_unresolved_for_rule_permutation():
     rho = infinite_index_cycle()
     _, status = index_orbit([rho], 1, bound=50)
     assert status == "unresolved"
+
+
+def test_orbit_start_beyond_the_bound_is_a_member(table):
+    # only a new image beyond the bound escapes, for indices as for integers
+    sigma = FiniteSupportPermutation.from_cycles("(1 2)")
+    assert index_orbit([sigma], 101, bound=100) == ((101,), "finite")
+    assert index_orbit([infinite_index_cycle()], 101, bound=100)[1] == "unresolved"
+    orb = integer_orbit([sigma], 210, 100, table)
+    assert (orb.members, orb.status) == ((210,), "finite")
+    # p_100001 = 1299721 lies beyond the index bound 100000, and (1 2) fixes it
+    f = TruncatedDirichletSeries(1_299_721, {2: ExactComplex(1), 1_299_721: ExactComplex(1)})
+    pf = project_invariant(f, PermutationGroup.from_cycles("(1 2)"), PrimeTable(1_300_000))
+    half = ExactComplex(Fraction(1, 2))
+    assert pf.coeffs == {2: half, 3: half, 1_299_721: ExactComplex(1)}
 
 
 def _union_find_partition(generators, M):
@@ -235,12 +244,13 @@ def test_project_invariant_idempotent_and_invariant(table):
     assert is_invariant(pf, grp, table).status == "invariant"
 
 
-def test_project_policy_on_infinite_orbit(table):
+def test_project_policy_on_infinite_orbit(table, monkeypatch):
+    monkeypatch.setattr(group, "INDEX_BOUND", 100)
     grp = PermutationGroup([infinite_index_cycle()])
     f = TruncatedDirichletSeries(10, {1: ExactComplex(7), 2: ExactComplex(1)})
     with pytest.raises(UnresolvedOrbitError):
-        project_invariant(f, grp, table, policy="error", index_bound=100)
-    kept = project_invariant(f, grp, table, policy="zero_unresolved", index_bound=100)
+        project_invariant(f, grp, table, policy="error")
+    kept = project_invariant(f, grp, table, policy="zero_unresolved")
     assert kept.coefficient(1) == ExactComplex(7)
     assert kept.coefficient(2) == ExactComplex(0)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_toolkit import ExactComplex, PrimeTable, TruncatedDirichletSeries, one
+from dirichlet_toolkit import ExactComplex, PrimeTable, TruncatedDirichletSeries
 from dirichlet_toolkit.errors import ModeMismatchError, NotInvertibleError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
 
@@ -70,8 +70,8 @@ def test_ring_laws(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f
     assert (f + g) * h == f * h + g * h
-    assert f * one(WINDOW) == f
-    assert f + TruncatedDirichletSeries.zero(WINDOW) == f
+    assert f * TruncatedDirichletSeries.unit(WINDOW) == f
+    assert f + TruncatedDirichletSeries(WINDOW) == f
 
 
 @settings(max_examples=30, deadline=None)
@@ -82,7 +82,7 @@ def test_inverse_matches_triangular_solve(f):
     u = TruncatedDirichletSeries(WINDOW, coeffs, EXACT)
     inv = u.invert()
     assert inv == brute_inverse(u, WINDOW)
-    assert u * inv == one(WINDOW)
+    assert u * inv == TruncatedDirichletSeries.unit(WINDOW)
 
 
 def mobius(n):
