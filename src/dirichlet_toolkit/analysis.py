@@ -301,6 +301,13 @@ class PerronResult:
         }
 
 
+def _check_perron(n: int, kappa: float, R: float) -> None:
+    if not (n >= 1 and kappa > 0 and 0 < R < math.inf):  # a NaN fails too
+        raise ValueError(
+            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, got n={n}, kappa={kappa}, R={R}"
+        )
+
+
 def perron_recover(
     f: TruncatedDirichletSeries,
     n: int,
@@ -313,8 +320,7 @@ def perron_recover(
     Fixed-step, no adaptivity, so runs are reproducible; the evaluator is a
     finite Dirichlet polynomial, hence kappa > 0 suffices.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_perron(n, kappa, R)
     if steps < 2:
         raise ValueError("need at least 2 quadrature steps")
     ns, cs = _coeff_arrays(f)
@@ -355,6 +361,7 @@ def perron_error_bound(
     f: TruncatedDirichletSeries, n: int, kappa: float, R: float
 ) -> float:
     """Sum over m != n of |a_m| (n/m)^kappa / (R |log(n/m)|)."""
+    _check_perron(n, kappa, R)
     bound = 0.0
     for m, c in f.coeffs.items():
         if m == n:

@@ -56,11 +56,11 @@ class SparseMultiPoly:
             if mono and mono[-1][0] > nvars:
                 raise ValueError(f"monomial {mono} uses a variable beyond nvars={nvars}")
             c = scalars.coerce(c, mode)
-            if not scalars.is_zero(c):
+            if c:
                 clean[mono] = clean[mono] + c if mono in clean else c
         self.nvars = int(nvars)
         self.mode = mode
-        self.terms = {m: c for m, c in clean.items() if not scalars.is_zero(c)}
+        self.terms = {m: c for m, c in clean.items() if c}
 
     def variables(self) -> list[int]:
         """Indices actually appearing with positive exponent."""

@@ -153,7 +153,8 @@ def cmd_op(args, argv) -> int:
         raise ValueError(f"op {name} needs {arity} input file(s), got {len(args.inputs)}")
     if name == "drop":
         p = bohr.SparseMultiPoly.load(args.inputs[0])
-        out = bohr.bohr_drop(p, _table_for(args.window) if args.window else _drop_table(p))
+        table = _table_for(args.window) if args.window else _drop_table(p)
+        out = bohr.bohr_drop(p, table, args.window or None)
     else:
         series = [TruncatedDirichletSeries.load(path) for path in args.inputs]
         a = series[0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re as _re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import scalars
@@ -27,11 +26,9 @@ from .primes import PrimeTable
 from .scalars import EXACT
 from .series import TruncatedDirichletSeries
 
-# The largest integer an image sigma_hat(n) may reach, the prime-index bound
-# of project_invariant's orbit searches, and the most group elements that
-# PermutationGroup.elements enumerates.
+# The largest integer an image sigma_hat(n) may reach, and the most group
+# elements that PermutationGroup.elements enumerates.
 CEILING = 2**63 - 1
-INDEX_BOUND = 100_000
 ENUMERATION_CAP = 10_000
 
 
@@ -380,10 +377,15 @@ def project_invariant(
     ``zero_unresolved``) or raises (policy ``error``).  The window is
     enlarged to cover every orbit touched by the support, so the result is
     genuinely invariant and the projection idempotent.
+    Index orbits are searched up to max(len(table), the largest index a
+    finite-support generator moves), so only a rule permutation leaves one
+    unresolved; a finite orbit beyond the table raises TableTooSmallError.
     """
     if policy not in ("error", "zero_unresolved"):
         raise ValueError(f"unknown policy {policy!r}")
     gens = group.generators
+    moved = [i for g in gens if isinstance(g, FiniteSupportPermutation) for i in g.support]
+    bound = max([len(table), *moved])
 
     def step(vec):
         for _, image in _images(gens, dict(vec)):
@@ -402,13 +404,13 @@ def project_invariant(
         for i in vec:
             if i not in finite:
                 # every member of an index orbit shares its status
-                orbit, status = index_orbit(gens, i, INDEX_BOUND)
+                orbit, status = index_orbit(gens, i, bound)
                 finite.update(dict.fromkeys(orbit, status == "finite"))
         if not all(finite[i] for i in vec):
             if policy == "error":
                 raise UnresolvedOrbitError(
                     f"orbit of a prime index of {n} is not certified finite "
-                    f"within bound {INDEX_BOUND}"
+                    f"within bound {bound}"
                 )
             done.add(n)
             continue
@@ -418,14 +420,11 @@ def project_invariant(
         total = zero
         for k in members:
             total = total + f.coeffs.get(k, zero)
-        if f.mode == EXACT:
-            avg = total / Fraction(len(members))
-        else:
-            avg = total / len(members)
+        avg = total / len(members)
         for k in members:
             done.add(k)
             window = max(window, k)
-            if not scalars.is_zero(avg):
+            if avg:
                 out[k] = avg
     return TruncatedDirichletSeries(window, out, f.mode)
 
@@ -446,8 +445,7 @@ def group_average(
         window = max(window, moved.window)
         for n, c in moved.coeffs.items():
             acc[n] = acc[n] + c if n in acc else c
-    count = Fraction(len(elements)) if f.mode == EXACT else len(elements)
-    out = {n: c / count for n, c in acc.items()}
+    out = {n: c / len(elements) for n, c in acc.items()}
     return TruncatedDirichletSeries(window, out, f.mode)
 
 

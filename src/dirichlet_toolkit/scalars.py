@@ -108,7 +108,8 @@ class ExactComplex:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes like it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -163,12 +164,6 @@ def coerce(value, mode: str):
     if mode == EXACT:
         return ExactComplex.coerce(value)
     return complex(value)
-
-
-def is_zero(value) -> bool:
-    if isinstance(value, ExactComplex):
-        return not value
-    return value == 0
 
 
 def scalar_to_json(value):

@@ -37,7 +37,7 @@ class TruncatedDirichletSeries:
             if not 1 <= n <= window:
                 raise ValueError(f"index {n} outside window [1, {window}]")
             c = scalars.coerce(c, mode)
-            if not scalars.is_zero(c):
+            if c:
                 clean[n] = c
         self.window = int(window)
         self.mode = mode
@@ -78,18 +78,13 @@ class TruncatedDirichletSeries:
         return len(self.coeffs)
 
     def __eq__(self, other):
-        """Coefficientwise equality on the common window min(N1, N2)."""
+        """Equal when the window, the mode and the coefficients all agree."""
         if not isinstance(other, TruncatedDirichletSeries):
             return NotImplemented
-        if self.mode != other.mode:
-            return False
-        w = min(self.window, other.window)
-        za, zb = scalars.zero(self.mode), scalars.zero(other.mode)
-        keys = {n for n in self.coeffs if n <= w} | {n for n in other.coeffs if n <= w}
-        return all(self.coeffs.get(n, za) == other.coeffs.get(n, zb) for n in keys)
+        return (self.window, self.mode, self.coeffs) == (other.window, other.mode, other.coeffs)
 
     def __hash__(self):
-        return hash((self.mode, tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
+        return hash((self.window, self.mode, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         items = ", ".join(f"{n}: {c!r}" for n, c in sorted(self.coeffs.items()))
@@ -100,16 +95,13 @@ class TruncatedDirichletSeries:
     def add(self, other: "TruncatedDirichletSeries"):
         scalars.require_same_mode(self.mode, other.mode)
         w = min(self.window, other.window)
-        out = {}
-        for n in set(self.coeffs) | set(other.coeffs):
-            if n > w:
-                continue
-            c = self.coeffs.get(n, scalars.zero(self.mode)) + other.coeffs.get(
-                n, scalars.zero(self.mode)
-            )
-            if not scalars.is_zero(c):
-                out[n] = c
-        return TruncatedDirichletSeries(w, out, self.mode)
+        zero = scalars.zero(self.mode)
+        out = {
+            n: self.coeffs.get(n, zero) + other.coeffs.get(n, zero)
+            for n in set(self.coeffs) | set(other.coeffs)
+            if n <= w
+        }
+        return TruncatedDirichletSeries(w, out, self.mode)  # drops the zero sums
 
     __add__ = add
 
@@ -183,7 +175,7 @@ class TruncatedDirichletSeries:
         while heap:
             m = heappop(heap)
             bm = inv_a1 if m == 1 else -(inv_a1 * acc.pop(m))
-            if scalars.is_zero(bm):
+            if not bm:
                 continue
             b[m] = bm
             limit = w // m

@@ -118,6 +118,7 @@ def test_op_lift_drop_round_trip(tmp_path):
     assert run(["op", "lift", str(f), "--out", str(p)]) == 0
     g = tmp_path / "g.json"
     assert run(["op", "drop", str(p), "--window", "40", "--out", str(g)]) == 0
+    assert read_json(g)["window"] == 40
     assert TruncatedDirichletSeries.load(g) == TruncatedDirichletSeries.load(f)
 
 
@@ -193,15 +194,25 @@ def test_op_project_sieves_to_the_generators(tmp_path):
 
 def test_op_project_beyond_the_table_exits_3(tmp_path, capsys):
     # the sieve stops at its limit 10^7, which holds 664579 primes; (1 700000)
-    # needs more.  Projection first finds index 700000 beyond its orbit bound
-    # 100000; the action needs the prime itself.
+    # needs more, for the projection's orbit as for the action.
     f = tmp_path / "f.json"
     run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
     out = str(tmp_path / "p.json")
     assert run(["op", "project", str(f), "--gens", "(1 700000)", "--out", out]) == 3
-    assert "not certified finite within bound 100000" in capsys.readouterr().err
+    assert "prime index 700000 beyond table" in capsys.readouterr().err
     assert run(["op", "act", str(f), "--perm", "(1 700000)", "--out", out]) == 3
     assert "prime index 700000 beyond table" in capsys.readouterr().err
+
+
+def test_op_project_reaches_as_far_as_the_sieve(tmp_path):
+    # the sieve for (1 200000) holds p_200000 = 2750159, so its orbit resolves
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
+    out = tmp_path / "p.json"
+    assert run(["op", "project", str(f), "--gens", "(1 200000)", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["window"] == 2_750_159
+    assert doc["coeffs"] == {"2": ["1/2", "0"], "2750159": ["1/2", "0"]}
 
 
 def test_op_project_needs_gens(tmp_path):
@@ -318,6 +329,20 @@ def test_analyze_perron_and_cauchy(tmp_path):
         ["analyze", "cauchy", str(f), "--n", "5", "--grid", "4", "--r", "0.5", "--out", str(out2)]
     ) == 0
     assert read_json(out2)["value"][0] == pytest.approx(3.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--R", "0"), ("--R", "-5"), ("--R", "inf"),
+     ("--kappa", "0"), ("--kappa", "nan"), ("--n", "0")],
+    ids=["R-zero", "R-negative", "R-infinite", "kappa-zero", "kappa-nan", "n-zero"],
+)
+def test_analyze_perron_rejects_bad_parameters(tmp_path, capsys, flag, value):
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "5", "3", "--window", "10", "--out", str(f)])
+    out = str(tmp_path / "p.json")
+    assert run(["analyze", "perron", str(f), "--n", "5", flag, value, "--out", out]) == 2
+    assert "Perron needs n >= 1, kappa > 0 and a finite R > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("build", [["zeta", "--window", "8"], ["monomial", "1", "2"]])

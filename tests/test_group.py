@@ -170,7 +170,7 @@ def test_orbit_start_beyond_the_bound_is_a_member(table):
     assert index_orbit([infinite_index_cycle()], 101, bound=100)[1] == "unresolved"
     orb = integer_orbit([sigma], 210, 100, table)
     assert (orb.members, orb.status) == ((210,), "finite")
-    # p_100001 = 1299721 lies beyond the index bound 100000, and (1 2) fixes it
+    # (1 2) fixes p_100001 = 1299721, within the table's 100021 primes
     f = TruncatedDirichletSeries(1_299_721, {2: ExactComplex(1), 1_299_721: ExactComplex(1)})
     pf = project_invariant(f, PermutationGroup.from_cycles("(1 2)"), PrimeTable(1_300_000))
     half = ExactComplex(Fraction(1, 2))
@@ -244,8 +244,7 @@ def test_project_invariant_idempotent_and_invariant(table):
     assert is_invariant(pf, grp, table).status == "invariant"
 
 
-def test_project_policy_on_infinite_orbit(table, monkeypatch):
-    monkeypatch.setattr(group, "INDEX_BOUND", 100)
+def test_project_policy_on_infinite_orbit(table):
     grp = PermutationGroup([infinite_index_cycle()])
     f = TruncatedDirichletSeries(10, {1: ExactComplex(7), 2: ExactComplex(1)})
     with pytest.raises(UnresolvedOrbitError):

@@ -48,3 +48,10 @@ def test_float_coercion_goes_through_complex():
     assert coerce(z, FLOAT) == complex(z) == 0.5 - 3j
     assert coerce(2, FLOAT) == complex(2) == 2 + 0j
     assert coerce(z, EXACT) is z
+
+
+def test_a_real_value_hashes_like_its_real_part():
+    assert ExactComplex(3) == 3 and hash(ExactComplex(3)) == hash(3)
+    half = Fraction(1, 2)
+    assert ExactComplex(half) == half and hash(ExactComplex(half)) == hash(half)
+    assert len({ExactComplex(3), 3, ExactComplex(half), half}) == 2

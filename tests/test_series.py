@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_toolkit import ExactComplex, PrimeTable, TruncatedDirichletSeries
@@ -190,12 +190,44 @@ def test_invert_requires_unit():
         g.invert()
 
 
-def test_windowed_equality_uses_common_window():
+def test_equality_includes_the_window():
     a = TruncatedDirichletSeries(8, {2: ExactComplex(1)})
     b = TruncatedDirichletSeries(16, {2: ExactComplex(1), 12: ExactComplex(5)})
-    assert a == b  # they agree on [1..8]
+    assert a != b  # they agree on [1..8], but their windows differ
+    assert a == b.truncate(8)
     c = TruncatedDirichletSeries(16, {2: ExactComplex(1), 5: ExactComplex(3)})
-    assert a != c
+    assert a != c.truncate(8)
+
+
+_small_series = st.integers(1, 6).flatmap(
+    lambda w: st.dictionaries(st.integers(1, w), st.integers(-1, 1), max_size=3).map(
+        lambda d: TruncatedDirichletSeries(w, d)
+    )
+)
+_small_scalars = st.one_of(
+    st.integers(-1, 1),
+    st.fractions(min_value=-1, max_value=1, max_denominator=2),
+    st.builds(ExactComplex, st.integers(-1, 1), st.integers(-1, 1)),
+)
+_comparable = st.one_of(_small_series, _small_scalars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_comparable, _comparable, _comparable)
+@example(
+    TruncatedDirichletSeries(4, {3: 1}), TruncatedDirichletSeries(2), TruncatedDirichletSeries(4)
+)
+@example(ExactComplex(3), 3, Fraction(3))
+def test_equality_laws(a, b, c):
+    """== is reflexive, symmetric and transitive, and equal values hash alike."""
+    for x in (a, b, c):
+        assert x == x
+    for x, y in ((a, b), (b, c), (a, c)):
+        assert (x == y) == (y == x)
+        if x == y:
+            assert hash(x) == hash(y)
+    if a == b and b == c:
+        assert a == c
 
 
 def test_binary_ops_truncate_to_min_window():
