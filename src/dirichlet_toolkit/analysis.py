@@ -21,7 +21,6 @@ from .series import TruncatedDirichletSeries
 GOLDEN = (math.sqrt(5) - 1) / 2
 _GOLDEN_ITERS = 80  # golden-section steps per refined grid point
 _REFINE_CANDIDATES = 5  # best grid points that line_sup refines
-_CHUNK = 200_000  # t samples per matrix product in _line_values
 
 
 def _coeff_arrays(f: TruncatedDirichletSeries):
@@ -31,17 +30,24 @@ def _coeff_arrays(f: TruncatedDirichletSeries):
 
 
 def _line_values(freqs: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``exp(1j * outer(ts, freqs)) @ weights``, formed ``_CHUNK`` rows at a time.
+    """``exp(1j * outer(ts, freqs)) @ weights`` on a uniform grid ``ts``.
 
-    Each row is its own product, so the values do not depend on the block
-    size, and memory stays at ``_CHUNK * len(freqs)`` complex entries.
+    Precondition: ``ts`` holds n >= 2 equally spaced points t_j = t_0 + j dt,
+    as ``np.linspace`` gives.  With blocks of B = ceil(sqrt(n)) rows, row
+    bB + j is ``base[j] * shift[b]``, where ``base[j] = exp(i (t_0 + j dt) f)``
+    and ``shift[b] = exp(i bB dt f)``, so the values are one matrix product
+    of (B + n/B) * len(freqs) exponentials.  Each shift is formed from bB dt
+    directly, not by a running product, so the error does not grow with b.
+    Memory is O(sqrt(n) * len(freqs) + n).
     """
-    return np.concatenate(
-        [
-            np.exp(1j * np.outer(ts[start : start + _CHUNK], freqs)) @ weights
-            for start in range(0, len(ts), _CHUNK)
-        ]
-    )
+    n = len(ts)
+    dt = (ts[-1] - ts[0]) / (n - 1)
+    B = math.isqrt(n - 1) + 1
+    j = np.arange(B)
+    base = np.exp(1j * np.outer(ts[0] + dt * j, freqs))
+    shift = np.exp(1j * np.outer(dt * B * j[: -(-n // B)], freqs))
+    # (blocks, N) @ (N, B) is C-contiguous, so the reshape does not copy
+    return ((shift * weights) @ base.T).reshape(-1)[:n]
 
 
 def partial_sum(f: TruncatedDirichletSeries, s: complex) -> complex:
@@ -102,6 +108,10 @@ def line_sup(
     Golden-section refinement is run around the best few grid points, which
     keeps the estimate deterministic for fixed parameters.
     """
+    if not (math.isfinite(sigma) and 0 < T < math.inf):  # a NaN fails too
+        raise ValueError(
+            f"line_sup needs a finite sigma and a finite T > 0, got sigma={sigma}, T={T}"
+        )
     if samples < 2:
         raise ValueError("need at least 2 samples")
     ns, cs = _coeff_arrays(f)
@@ -119,15 +129,15 @@ def line_sup(
     k = min(_REFINE_CANDIDATES, samples)
     top = np.flatnonzero(vals >= np.partition(vals, samples - k)[samples - k])
     top = top[np.argsort(-vals[top], kind="stable")][:k]
-    best = [(float(vals[i]), float(ts[i])) for i in top]
-
-    sup_val, sup_t = best[0]
     step = ts[1] - ts[0]
 
     def magnitude(t: float) -> float:
         return abs(np.dot(weights, np.exp(-1j * t * logn)))
 
-    for val, t0 in best:
+    # the grid only ranks the candidates: every returned value is evaluated directly
+    sup_t = float(ts[top[0]])
+    sup_val = magnitude(sup_t)
+    for t0 in ts[top]:
         t_star, v_star = _golden_max(
             magnitude, max(-T, t0 - step), min(T, t0 + step)
         )
@@ -302,9 +312,10 @@ class PerronResult:
 
 
 def _check_perron(n: int, kappa: float, R: float) -> None:
-    if not (n >= 1 and kappa > 0 and 0 < R < math.inf):  # a NaN fails too
+    if not (n >= 1 and 0 < kappa < math.inf and 0 < R < math.inf):  # a NaN fails too
         raise ValueError(
-            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, got n={n}, kappa={kappa}, R={R}"
+            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, with a finite kappa, "
+            f"got n={n}, kappa={kappa}, R={R}"
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import sys
@@ -175,7 +176,7 @@ def cmd_op(args, argv) -> int:
         elif name == "project":
             grp = _group_from_args(args)
             table = _table_for(a.window, _top_moved(grp.generators))
-            out = project_invariant(a, grp, table, policy=args.policy)
+            out = project_invariant(a, grp, table)
         elif name == "restrict":
             indices = {int(tok) for tok in args.indices.split(",")}
             out = phi_restrict(a, indices, _table_for(a.window))
@@ -276,7 +277,9 @@ def cmd_analyze(args, argv) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="dirichlet-toolkit",
         description="Truncated Dirichlet series: algebra, Bohr lifts, invariants, analysis.",
@@ -313,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--r", default="1", help="dilation parameter (rational or complex)")
     o.add_argument("--gens", action="append", help="group generator in cycle notation")
     o.add_argument("--perm", help="permutation in cycle notation")
-    o.add_argument("--policy", choices=["error", "zero_unresolved"], default="error")
     o.add_argument("--indices", default="", help="comma-separated prime indices")
     o.add_argument("--window", type=int, default=0)
     o.add_argument("--out", default="out.json")
@@ -351,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # every float kernel checks its results for finiteness and raises
         # NumericFailureError, so numpy's overflow warnings only add noise

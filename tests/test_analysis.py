@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dirichlet_toolkit import (
     PrimeTable,
@@ -17,7 +19,7 @@ from dirichlet_toolkit import (
     seminorm_profile,
     sigma_u_plus_estimate,
 )
-from dirichlet_toolkit.analysis import SeminormProfile, perron_exact_truncated
+from dirichlet_toolkit.analysis import SeminormProfile, _line_values, perron_exact_truncated
 from dirichlet_toolkit.errors import NumericFailureError
 from dirichlet_toolkit.scalars import FLOAT
 
@@ -192,15 +194,51 @@ def test_perron_overflowing_sum_detected():
         perron_recover(f, 2, 1.0, 10.0, steps=100)
 
 
-# -- the chunked line kernel ----------------------------------------------
+# -- the block-phasor line kernel -----------------------------------------
+
+# grid sizes: the smallest, primes, one off a square block count, and up to ~50k
+_grid_sizes = st.one_of(
+    st.sampled_from([2, 3, 5, 97, 7919, 49_999]),
+    st.builds(lambda b, d: b * b + d, st.integers(2, 223), st.sampled_from([-1, 0, 1])),
+    st.integers(2, 50_000),
+)
+_weight = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
-def test_line_kernel_values_do_not_depend_on_the_block_size(monkeypatch):
-    from dirichlet_toolkit import analysis
+@settings(max_examples=150, deadline=None)
+@given(
+    _grid_sizes,
+    st.lists(st.tuples(st.integers(1, 5000), _weight), min_size=1, max_size=30),
+    st.floats(1e-3, 1e4),
+)
+@example(200_001, [(m, 1.0) for m in (1, 2, 3, 5, 7, 11)], 1e4)
+def test_line_kernel_matches_the_direct_product(n, terms, T):
+    freqs = -np.log(np.array([m for m, _ in terms], dtype=float))
+    weights = np.array([w for _, w in terms], dtype=np.complex128)
+    ts = np.linspace(-T, T, n)
+    direct = np.exp(1j * np.outer(ts, freqs)) @ weights
+    scale = (1 + T * np.abs(freqs).max()) * np.abs(weights).sum()
+    assert np.abs(_line_values(freqs, weights, ts) - direct).max() <= 1e-14 * scale
 
-    f = TruncatedDirichletSeries(40, {1: 0.5, 6: 1.0 - 2j, 17: -1.5, 31: 0.25j}, FLOAT)
-    whole = line_sup(f, 0.0, 200.0, 50_001), perron_recover(f, 6, 2.0, 300.0, steps=30_000)
-    # a block size that divides neither grid, so each ends in a partial block
-    monkeypatch.setattr(analysis, "_CHUNK", 997)
-    chunked = line_sup(f, 0.0, 200.0, 50_001), perron_recover(f, 6, 2.0, 300.0, steps=30_000)
-    assert chunked == whole
+
+def test_line_sup_returns_a_direct_evaluation_at_least_the_grid_max():
+    rng = np.random.default_rng(5)
+    support = rng.choice(np.arange(1, 61), size=12, replace=False)
+    f = TruncatedDirichletSeries(
+        60, {int(n): complex(*rng.normal(size=2)) for n in support}, FLOAT
+    )
+    T, samples = 1000.0, 200_000
+    rep = line_sup(f, 0.0, T, samples)
+    assert abs(rep.sup_estimate - abs(partial_sum(f, 1j * rep.argmax_t))) <= 1e-12 * rep.sup_estimate
+    ns = np.array(sorted(f.coeffs), dtype=float)
+    cs = np.array([f.coeffs[int(n)] for n in ns])
+    grid_max = np.abs(np.exp(-1j * np.outer(np.linspace(-T, T, samples), np.log(ns))) @ cs).max()
+    assert rep.sup_estimate >= (1 - 1e-12) * grid_max
+
+
+@pytest.mark.parametrize("kappa", [math.inf, math.nan])
+def test_perron_rejects_a_nonfinite_kappa(kappa):
+    f = TruncatedDirichletSeries(10, {2: 1.0}, FLOAT)
+    for fn in (perron_recover, perron_error_bound):
+        with pytest.raises(ValueError, match="with a finite kappa"):
+            fn(f, 2, kappa, 100.0)

@@ -215,6 +215,25 @@ def test_op_project_reaches_as_far_as_the_sieve(tmp_path):
     assert doc["coeffs"] == {"2": ["1/2", "0"], "2750159": ["1/2", "0"]}
 
 
+def test_main_twice_in_one_process_starts_from_fresh_arguments(tmp_path):
+    # the parser is built once per process; the list that --gens appends to
+    # must not carry over from one call to the next
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["op", "project", str(f), "--gens", "(1 2)", "--gens", "(1 3)", "--out", str(first)]) == 0
+    assert run(["op", "project", str(f), "--gens", "(1 4)", "--out", str(second)]) == 0
+    third = ["1/3", "0"]
+    assert read_json(first)["coeffs"] == {"2": third, "3": third, "5": third}
+    assert read_json(second)["coeffs"] == {"2": ["1/2", "0"], "7": ["1/2", "0"]}
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["op", "project", str(f), "--out", str(tmp_path / "c.json")]) == 2
+    # a parse error still exits 2; op has no --policy flag
+    with pytest.raises(SystemExit) as exc:
+        run(["op", "project", str(f), "--gens", "(1 2)", "--policy", "error", "--out", str(second)])
+    assert exc.value.code == 2
+
+
 def test_op_project_needs_gens(tmp_path):
     f = tmp_path / "f.json"
     run(["build", "zeta", "--window", "4", "--out", str(f)])
@@ -334,8 +353,8 @@ def test_analyze_perron_and_cauchy(tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--R", "0"), ("--R", "-5"), ("--R", "inf"),
-     ("--kappa", "0"), ("--kappa", "nan"), ("--n", "0")],
-    ids=["R-zero", "R-negative", "R-infinite", "kappa-zero", "kappa-nan", "n-zero"],
+     ("--kappa", "0"), ("--kappa", "nan"), ("--kappa", "inf"), ("--n", "0")],
+    ids=["R-zero", "R-negative", "R-infinite", "kappa-zero", "kappa-nan", "kappa-infinite", "n-zero"],
 )
 def test_analyze_perron_rejects_bad_parameters(tmp_path, capsys, flag, value):
     f = tmp_path / "f.json"
@@ -343,6 +362,21 @@ def test_analyze_perron_rejects_bad_parameters(tmp_path, capsys, flag, value):
     out = str(tmp_path / "p.json")
     assert run(["analyze", "perron", str(f), "--n", "5", flag, value, "--out", out]) == 2
     assert "Perron needs n >= 1, kappa > 0 and a finite R > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--T", "nan"), ("--T", "inf"), ("--T", "0"), ("--T", "-5"),
+     ("--sigma", "inf"), ("--sigma", "nan")],
+    ids=["T-nan", "T-infinite", "T-zero", "T-negative", "sigma-infinite", "sigma-nan"],
+)
+def test_analyze_line_sup_rejects_bad_parameters(tmp_path, capsys, flag, value):
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "2", "1", "--window", "10", "--out", str(f)])
+    out = tmp_path / "o.json"
+    assert run(["analyze", "line-sup", str(f), flag, value, "--out", str(out)]) == 2
+    assert "line_sup needs a finite sigma and a finite T > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("build", [["zeta", "--window", "8"], ["monomial", "1", "2"]])
