@@ -26,13 +26,11 @@ from .bohr import (
 from .group import (
     FiniteSupportPermutation,
     IntegerOrbit,
-    OrbitPartition,
     PermutationGroup,
     RulePermutation,
     act,
     group_average,
     hat_apply,
-    index_orbits,
     infinite_index_cycle,
     integer_orbit,
     invariant_orbit_sums,
@@ -53,7 +51,6 @@ __all__ = [
     "Factorization",
     "FiniteSupportPermutation",
     "IntegerOrbit",
-    "OrbitPartition",
     "PermutationGroup",
     "PolydiscPoint",
     "PrimeTable",
@@ -68,7 +65,6 @@ __all__ = [
     "eval_c",
     "group_average",
     "hat_apply",
-    "index_orbits",
     "infinite_index_cycle",
     "integer_orbit",
     "invariant_orbit_sums",

@@ -108,9 +108,11 @@ def line_sup(
     Golden-section refinement is run around the best few grid points, which
     keeps the estimate deterministic for fixed parameters.
     """
-    if not (math.isfinite(sigma) and 0 < T < math.inf):  # a NaN fails too
+    # the grid spans 2T, so 2T must be finite too; a NaN fails every test
+    if not (math.isfinite(sigma) and 0 < 2 * T < math.inf):
         raise ValueError(
-            f"line_sup needs a finite sigma and a finite T > 0, got sigma={sigma}, T={T}"
+            f"line_sup needs a finite sigma and a finite T > 0 with 2T finite, "
+            f"got sigma={sigma}, T={T}"
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -312,9 +314,10 @@ class PerronResult:
 
 
 def _check_perron(n: int, kappa: float, R: float) -> None:
-    if not (n >= 1 and 0 < kappa < math.inf and 0 < R < math.inf):  # a NaN fails too
+    # the quadrature spans 2R, so 2R must be finite too; a NaN fails every test
+    if not (n >= 1 and 0 < kappa < math.inf and 0 < 2 * R < math.inf):
         raise ValueError(
-            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, with a finite kappa, "
+            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, with a finite kappa and 2R, "
             f"got n={n}, kappa={kappa}, R={R}"
         )
 

@@ -22,7 +22,7 @@ from .errors import (
     TableTooSmallError,
     WindowOverflowError,
 )
-from .primes import PrimeTable
+from .primes import Factorization, PrimeTable
 from .scalars import EXACT, FLOAT
 from .series import TruncatedDirichletSeries
 
@@ -93,28 +93,6 @@ class SparseMultiPoly:
 
         body = " + ".join(f"({c!r})*{fmt(m)}" for m, c in sorted(self.terms.items()))
         return f"SparseMultiPoly(nvars={self.nvars}, {body or '0'})"
-
-    def add(self, other: "SparseMultiPoly"):
-        scalars.require_same_mode(self.mode, other.mode)
-        nvars = max(self.nvars, other.nvars)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out[mono] + c if mono in out else c
-        return SparseMultiPoly(nvars, out, self.mode)
-
-    __add__ = add
-
-    def scale(self, c):
-        c = scalars.coerce(c, self.mode)
-        return SparseMultiPoly(
-            self.nvars, {m: a * c for m, a in self.terms.items()}, self.mode
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
 
     def mul(self, other: "SparseMultiPoly"):
         scalars.require_same_mode(self.mode, other.mode)
@@ -241,9 +219,7 @@ def bohr_drop(
     coeffs = {}
     max_n = 1
     for mono, c in p.terms.items():
-        n = 1
-        for i, e in mono:
-            n *= table.prime(i) ** e
+        n = Factorization(mono).value(table)
         if n > table.bound:
             raise WindowOverflowError(
                 f"monomial {mono} corresponds to {n} > table bound {table.bound}"

@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,21 +28,11 @@ from .group import (
     phi_restrict,
     project_invariant,
 )
-from .primes import PrimeTable
-from .scalars import EXACT, FLOAT, ExactComplex
+from .primes import Factorization, PrimeTable
+from .scalars import EXACT, FLOAT, scalar_from_json
 from .series import TruncatedDirichletSeries
 
 _MAX_TABLE = 10_000_000
-
-
-def _record(op: str, params: dict, value, tolerance=None, witness=None) -> dict:
-    return {
-        "op": op,
-        "params": params,
-        "value": value,
-        "tolerance": tolerance,
-        "witness": witness,
-    }
 
 
 def _emit(doc, out: str | None) -> None:
@@ -77,22 +66,16 @@ def _drop_table(p: bohr.SparseMultiPoly) -> PrimeTable:
     ``TableTooSmallError``; a monomial integer beyond it, ``WindowOverflowError``.
     """
     small = _table_for(2, max(p.variables(), default=0))
-    largest = max((math.prod(small.prime(i) ** e for i, e in m) for m in p.terms), default=1)
+    largest = max((Factorization(m).value(small) for m in p.terms), default=1)
     if largest > _MAX_TABLE:
         raise WindowOverflowError(f"monomial integer {largest} beyond the sieve limit {_MAX_TABLE}")
     return small if largest <= small.bound else _table_for(largest)
 
 
 def _parse_scalar(text: str, mode: str):
-    if mode == EXACT:
-        parts = text.split(",")
-        re = Fraction(parts[0])
-        im = Fraction(parts[1]) if len(parts) > 1 else Fraction(0)
-        return ExactComplex(re, im)
-    if "," in text:
-        re, im = text.split(",")
-        return complex(float(re), float(im))
-    return complex(text)
+    """A scalar given as ``re`` or ``re,im``, parsed and checked as a file coefficient is."""
+    parts = text.split(",")
+    return scalar_from_json(parts if len(parts) > 1 else [text, "0"], mode, f"scalar {text!r}")
 
 
 def _parse_r_grid(spec: str) -> list[float]:
@@ -223,13 +206,13 @@ def cmd_analyze(args, argv) -> int:
     if args.kind == "torus-sup":
         p = bohr.bohr_lift(f, table)
         res = bohr.torus_sup(p, args.r, grid_per_var=args.grid, seed=args.seed)
-        _emit(_record("torus-sup", params, res.value, None, res.as_record()), args.out)
+        value, tolerance, witness = res.value, None, res.as_record()
     elif args.kind == "line-sup":
         rep = analysis.line_sup(f, args.sigma, args.T, args.samples)
-        _emit(_record("line-sup", params, rep.sup_estimate, None, rep.as_record()), args.out)
+        value, tolerance, witness = rep.sup_estimate, None, rep.as_record()
     elif args.kind == "sigma-u":
         est = analysis.sigma_u_plus_estimate(f, table)
-        _emit(_record("sigma-u", params, est.value, None, est.as_record()), args.out)
+        value, tolerance, witness = est.value, None, est.as_record()
     elif args.kind == "seminorm-profile":
         grid = _parse_r_grid(args.r_grid)
         profile = analysis.seminorm_profile(f, grid, table, seed=args.seed)
@@ -239,38 +222,21 @@ def cmd_analyze(args, argv) -> int:
                 writer.writerow(["r", "value", "tolerance"])
                 for r, v in zip(profile.r_grid, profile.values):
                     writer.writerow([r, v, analysis.CONVEXITY_TOL])
-        else:
-            _emit(
-                _record(
-                    "seminorm-profile",
-                    params,
-                    profile.values,
-                    analysis.CONVEXITY_TOL,
-                    {"r_grid": profile.r_grid},
-                ),
-                args.out,
-            )
+            return 0
+        value, tolerance = profile.values, analysis.CONVEXITY_TOL
+        witness = {"r_grid": profile.r_grid}
     elif args.kind == "perron":
         res = analysis.perron_recover(f, args.n, args.kappa, args.R, args.steps)
-        bound = analysis.perron_error_bound(f, args.n, args.kappa, args.R)
-        _emit(
-            _record(
-                "perron",
-                params,
-                [res.value.real, res.value.imag],
-                bound,
-                res.as_record()["witness"],
-            ),
-            args.out,
-        )
+        value = [res.value.real, res.value.imag]
+        tolerance = analysis.perron_error_bound(f, args.n, args.kappa, args.R)
+        witness = res.as_record()["witness"]
     elif args.kind == "cauchy":
         got = bohr.cauchy_coefficient(f, args.n, table, args.grid, args.r)
-        _emit(
-            _record("cauchy", params, [got.real, got.imag], 1e-10, {"n": args.n}),
-            args.out,
-        )
+        value, tolerance, witness = [got.real, got.imag], 1e-10, {"n": args.n}
     else:
         raise ValueError(f"unknown analysis kind {args.kind!r}")
+    record = dict(op=args.kind, params=params, value=value, tolerance=tolerance, witness=witness)
+    _emit(record, args.out)
     return 0
 
 
@@ -313,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     o.add_argument("inputs", nargs="+", help="input JSON file(s)")
-    o.add_argument("--r", default="1", help="dilation parameter (rational or complex)")
+    o.add_argument("--r", default="1", help="dilation parameter: re or re,im")
     o.add_argument("--gens", action="append", help="group generator in cycle notation")
     o.add_argument("--perm", help="permutation in cycle notation")
     o.add_argument("--indices", default="", help="comma-separated prime indices")

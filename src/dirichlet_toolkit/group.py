@@ -283,19 +283,6 @@ class IntegerOrbit:
     bound: int
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    index_bound: int
-    orbits: tuple[tuple[int, ...], ...]
-    unresolved: frozenset[int]  # positions into ``orbits`` that escaped
-
-    def orbit_of(self, i: int) -> tuple[int, ...]:
-        for orb in self.orbits:
-            if i in orb:
-                return orb
-        raise ValueError(f"index {i} beyond partition bound {self.index_bound}")
-
-
 def integer_orbit(generators, n: int, bound: int, table: PrimeTable) -> IntegerOrbit:
     """BFS closure of n under sigma_hat of every generator and inverse.
 
@@ -336,21 +323,6 @@ def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
 
     members, escaped = _closure([i], step)
     return tuple(sorted(members)), "unresolved" if escaped else "finite"
-
-
-def index_orbits(generators, M: int) -> OrbitPartition:
-    """Partition of [1..M] into index orbits, searched within [1..M]."""
-    orbits: list[tuple[int, ...]] = []
-    unresolved: set[int] = set()
-    placed: set[int] = set()
-    for i in range(1, M + 1):
-        if i not in placed:
-            members, status = index_orbit(generators, i, M)
-            placed.update(members)
-            if status != "finite":
-                unresolved.add(len(orbits))
-            orbits.append(members)
-    return OrbitPartition(M, tuple(orbits), frozenset(unresolved))
 
 
 # -- invariant projection and friends -------------------------------------

@@ -360,7 +360,7 @@ def _lemma91(result: SuiteResult, rng: random.Random, trials: int) -> None:
     table = _table(130_000)
     pool = _pool(table, 8, 2, 60)
     groups = standard_small_groups()
-    inconclusive = 0
+    inconclusive = checked_pairs = 0
     for k in range(trials):
         s = rng.randrange(1 << 30)
         name, grp = groups[k % len(groups)]
@@ -374,6 +374,7 @@ def _lemma91(result: SuiteResult, rng: random.Random, trials: int) -> None:
         if u * inv != TruncatedDirichletSeries.unit(512):
             _fail(result, "inverse", {"seed": s, "group": name}, "u * inv == 1", "mismatch")
         rep = is_invariant(inv, grp, table)
+        checked_pairs += rep.checked_pairs
         if rep.status == "violated":
             _fail(
                 result,
@@ -384,7 +385,7 @@ def _lemma91(result: SuiteResult, rng: random.Random, trials: int) -> None:
             )
         elif rep.status == "inconclusive":
             inconclusive += 1
-    result.info = {"inconclusive": inconclusive}
+    result.info = {"inconclusive": inconclusive, "checked_pairs": checked_pairs}
 
 
 # -- coefficient recovery by discrete Cauchy integrals --------------------

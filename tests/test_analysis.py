@@ -212,13 +212,19 @@ _weight = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=
     st.floats(1e-3, 1e4),
 )
 @example(200_001, [(m, 1.0) for m in (1, 2, 3, 5, 7, 11)], 1e4)
+@example(3, [(3, 5e-324 + 0j)], 1.0)
 def test_line_kernel_matches_the_direct_product(n, terms, T):
     freqs = -np.log(np.array([m for m, _ in terms], dtype=float))
     weights = np.array([w for _, w in terms], dtype=np.complex128)
     ts = np.linspace(-T, T, n)
     direct = np.exp(1j * np.outer(ts, freqs)) @ weights
     scale = (1 + T * np.abs(freqs).max()) * np.abs(weights).sum()
-    assert np.abs(_line_values(freqs, weights, ts) - direct).max() <= 1e-14 * scale
+    # Below the normal range a product has no relative precision: each real
+    # product rounds by up to 2^-1075 absolute, so a complex product is off
+    # by up to sqrt(2) * 2^-1074.  The kernel takes two products per term and
+    # the direct product one, hence the floor of 3 sqrt(2) < 5 ulps of 0 per term.
+    floor = 5 * len(terms) * math.ulp(0.0)
+    assert np.abs(_line_values(freqs, weights, ts) - direct).max() <= 1e-14 * scale + floor
 
 
 def test_line_sup_returns_a_direct_evaluation_at_least_the_grid_max():

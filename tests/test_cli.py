@@ -40,6 +40,28 @@ def test_build_monomial_exact(tmp_path):
     assert doc["coeffs"]["5"] == ["3/2", "-1"]
 
 
+def test_build_monomial_float(tmp_path):
+    out = tmp_path / "m.json"
+    assert run(["build", "monomial", "5", "1.5,-2", "--mode", "float", "--out", str(out)]) == 0
+    assert read_json(out)["coeffs"]["5"] == [1.5, -2.0]
+    assert run(["build", "monomial", "5", "1e-3", "--mode", "float", "--out", str(out)]) == 0
+    assert read_json(out)["coeffs"]["5"] == [1e-3, 0.0]
+
+
+@pytest.mark.parametrize(
+    "mode, text",
+    [("float", "nan"), ("float", "inf,0"), ("float", "1e400"), ("float", "2j"),
+     ("exact", "nan"), ("exact", "1,2,3")],
+    ids=["float-nan", "float-inf", "float-overflow", "python-literal", "exact-nan", "three-parts"],
+)
+def test_build_monomial_rejects_a_bad_coefficient(tmp_path, capsys, mode, text):
+    # a CLI scalar is parsed and checked as a series file coefficient is
+    out = tmp_path / "m.json"
+    assert run(["build", "monomial", "2", text, "--mode", mode, "--out", str(out)]) == 2
+    assert f"scalar {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_random_is_seed_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -108,6 +130,26 @@ def test_float_op_with_a_nonfinite_result_exits_3(tmp_path, capsys, name, window
     inputs = [str(f)] * (2 if name == "mul" else 1)
     assert run(["op", name, *inputs, "--out", str(out)]) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, r, expected", [("exact", "1/2", ["1/4", "0"]), ("float", "0.5,0.5", [0.0, 0.5])]
+)
+def test_op_dilate(tmp_path, mode, r, expected):
+    # dilation scales a_4 of zeta by r^Omega(4) = r^2
+    f, out = tmp_path / "z.json", tmp_path / "d.json"
+    run(["build", "zeta", "--window", "8", "--mode", mode, "--out", str(f)])
+    assert run(["op", "dilate", str(f), "--r", r, "--out", str(out)]) == 0
+    assert read_json(out)["coeffs"]["4"] == expected
+
+
+@pytest.mark.parametrize("r", ["inf", "nan", "1,inf"])
+def test_op_dilate_rejects_a_nonfinite_r(tmp_path, capsys, r):
+    f, out = tmp_path / "z.json", tmp_path / "d.json"
+    run(["build", "zeta", "--window", "8", "--mode", "float", "--out", str(f)])
+    assert run(["op", "dilate", str(f), "--r", r, "--out", str(out)]) == 2
+    assert f"scalar {r!r}: non-finite value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -352,9 +394,10 @@ def test_analyze_perron_and_cauchy(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--R", "0"), ("--R", "-5"), ("--R", "inf"),
+    [("--R", "0"), ("--R", "-5"), ("--R", "inf"), ("--R", "1e308"),
      ("--kappa", "0"), ("--kappa", "nan"), ("--kappa", "inf"), ("--n", "0")],
-    ids=["R-zero", "R-negative", "R-infinite", "kappa-zero", "kappa-nan", "kappa-infinite", "n-zero"],
+    ids=["R-zero", "R-negative", "R-infinite", "R-doubled-infinite",
+         "kappa-zero", "kappa-nan", "kappa-infinite", "n-zero"],
 )
 def test_analyze_perron_rejects_bad_parameters(tmp_path, capsys, flag, value):
     f = tmp_path / "f.json"
@@ -366,9 +409,10 @@ def test_analyze_perron_rejects_bad_parameters(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--T", "nan"), ("--T", "inf"), ("--T", "0"), ("--T", "-5"),
+    [("--T", "nan"), ("--T", "inf"), ("--T", "1e308"), ("--T", "0"), ("--T", "-5"),
      ("--sigma", "inf"), ("--sigma", "nan")],
-    ids=["T-nan", "T-infinite", "T-zero", "T-negative", "sigma-infinite", "sigma-nan"],
+    ids=["T-nan", "T-infinite", "T-doubled-infinite", "T-zero", "T-negative",
+         "sigma-infinite", "sigma-nan"],
 )
 def test_analyze_line_sup_rejects_bad_parameters(tmp_path, capsys, flag, value):
     f = tmp_path / "f.json"

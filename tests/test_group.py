@@ -15,7 +15,6 @@ from dirichlet_toolkit import (
     act,
     group_average,
     hat_apply,
-    index_orbits,
     infinite_index_cycle,
     integer_orbit,
     invariant_orbit_sums,
@@ -151,10 +150,10 @@ def test_index_orbit_and_partition():
     sigma = FiniteSupportPermutation.from_cycles("(1 2)(4 5 6)")
     members, status = index_orbit([sigma], 4, bound=100)
     assert members == (4, 5, 6) and status == "finite"
-    part = index_orbits([sigma], 6)
-    assert (1, 2) in part.orbits and (4, 5, 6) in part.orbits and (3,) in part.orbits
-    assert part.orbit_of(5) == (4, 5, 6)
-    assert not part.unresolved
+    # within [1..6] the orbits partition the indices into {1, 2}, {3}, {4, 5, 6}
+    orbits = {i: index_orbit([sigma], i, 6) for i in range(1, 7)}
+    assert set(orbits.values()) == {((1, 2), "finite"), ((3,), "finite"), ((4, 5, 6), "finite")}
+    assert orbits[5] == ((4, 5, 6), "finite")
 
 
 def test_index_orbit_unresolved_for_rule_permutation():
@@ -178,7 +177,8 @@ def test_orbit_start_beyond_the_bound_is_a_member(table):
 
 
 def _union_find_partition(generators, M):
-    """Components of [1..M] joined by generator edges that stay in [1..M]."""
+    """Components of [1..M] joined by generator edges that stay in [1..M], and
+    the positions of the components that some edge leaves."""
     parent = list(range(M + 1))
 
     def find(x):
@@ -216,11 +216,11 @@ _perm_on_9 = st.permutations(range(1, 10)).map(
 )
 def test_index_orbits_match_union_find(perms, with_cycle, M):
     gens = perms + [infinite_index_cycle()] * with_cycle
-    part = index_orbits(gens, M)
     orbits, unresolved = _union_find_partition(gens, M)
-    assert part.index_bound == M
-    assert part.orbits == orbits
-    assert part.unresolved == unresolved
+    for pos, orbit in enumerate(orbits):
+        status = "unresolved" if pos in unresolved else "finite"
+        for i in orbit:
+            assert index_orbit(gens, i, M) == (orbit, status)
 
 
 # -- projection -----------------------------------------------------------

@@ -40,3 +40,10 @@ def test_json_record_keeps_its_keys_in_order():
     doc = suites.run_suite("orbit-sums").to_json_dict()
     assert list(doc) == ["suite", "trials", "seed", "failures", "elapsed", "info"]
     assert doc["suite"] == "orbit-sums" and doc["trials"] == 0 and doc["seed"] == 42
+
+
+def test_lemma91_reports_the_pairs_it_checked():
+    # every trial checks at least a_1 against itself under each generator
+    info = suites.run_suite("lemma9.1", seed=5, trials=3).info
+    assert set(info) == {"inconclusive", "checked_pairs"}
+    assert info["checked_pairs"] >= 3
