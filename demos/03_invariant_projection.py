@@ -14,7 +14,6 @@ from dirichlet_toolkit import (
     TruncatedDirichletSeries,
     hat_apply,
     infinite_index_cycle,
-    integer_orbit,
     invariant_orbit_sums,
     is_invariant,
     project_invariant,
@@ -29,8 +28,9 @@ sigma = grp.generators[0]
 print(f"sigma = (1 2) swaps the primes 2 and 3, so sigma_hat(12) = "
       f"{hat_apply(sigma, 12, table)}  (12 = 2^2*3 -> 3^2*2)")
 
-orb = integer_orbit(grp.generators, 12, 10_000, table)
-print(f"orbit of 12: {orb.members} ({orb.status})")
+# the orbit of n is the support of the projection of n^{-s}
+orbit = project_invariant(TruncatedDirichletSeries.monomial(12, 1), grp, table)
+print(f"orbit of 12: {orbit.support()}")
 
 print("\n== projection onto invariants ==\n")
 f = TruncatedDirichletSeries(100, {2: ExactComplex(1), 12: ExactComplex(6)})

@@ -25,14 +25,12 @@ from .bohr import (
 )
 from .group import (
     FiniteSupportPermutation,
-    IntegerOrbit,
     PermutationGroup,
     RulePermutation,
     act,
     group_average,
     hat_apply,
     infinite_index_cycle,
-    integer_orbit,
     invariant_orbit_sums,
     is_invariant,
     phi_restrict,
@@ -50,7 +48,6 @@ __all__ = [
     "ExactComplex",
     "Factorization",
     "FiniteSupportPermutation",
-    "IntegerOrbit",
     "PermutationGroup",
     "PolydiscPoint",
     "PrimeTable",
@@ -66,7 +63,6 @@ __all__ = [
     "group_average",
     "hat_apply",
     "infinite_index_cycle",
-    "integer_orbit",
     "invariant_orbit_sums",
     "is_invariant",
     "line_sup",

@@ -108,11 +108,16 @@ def line_sup(
     Golden-section refinement is run around the best few grid points, which
     keeps the estimate deterministic for fixed parameters.
     """
-    # the grid spans 2T, so 2T must be finite too; a NaN fails every test
-    if not (math.isfinite(sigma) and 0 < 2 * T < math.inf):
+    # the grid spans 2T and the kernel's phases t log n reach 2T log(max n),
+    # so both must be finite; a NaN fails every test
+    if not (
+        math.isfinite(sigma)
+        and 0 < 2 * T < math.inf
+        and math.isfinite(2 * T * math.log(max(f.coeffs, default=1)))
+    ):
         raise ValueError(
-            f"line_sup needs a finite sigma and a finite T > 0 with 2T finite, "
-            f"got sigma={sigma}, T={T}"
+            f"line_sup needs a finite sigma and a finite T > 0 with 2T and 2T log(max n) "
+            f"finite, got sigma={sigma}, T={T}"
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -259,10 +264,7 @@ def seminorm_profile(
 class ConvexityReport:
     passed: bool
     monotone: bool
-    constant: bool
     defects: list[float]
-    min_first_difference: float
-    tolerance: float
 
 
 # Slack of the convexity check, also the tolerance of the CLI's seminorm records.
@@ -284,8 +286,6 @@ def convexity_check(profile: SeminormProfile) -> ConvexityReport:
     ts = [math.log(r) for r in profile.r_grid]
     ls = [math.log(v) for v in profile.values]
     diffs = [b - a for a, b in zip(ls, ls[1:])]
-    spread = max(ls) - min(ls)
-    constant = spread <= tol
     defects = []
     for i in range(1, len(ts) - 1):
         lam = (ts[i] - ts[i - 1]) / (ts[i + 1] - ts[i - 1])
@@ -293,9 +293,7 @@ def convexity_check(profile: SeminormProfile) -> ConvexityReport:
         defects.append(chord - ls[i])
     monotone = all(d >= -tol for d in diffs)
     passed = monotone and all(d >= -tol for d in defects)
-    return ConvexityReport(
-        passed, monotone, constant, defects, min(diffs, default=0.0), tol
-    )
+    return ConvexityReport(passed, monotone, defects)
 
 
 @dataclass
@@ -313,12 +311,20 @@ class PerronResult:
         }
 
 
-def _check_perron(n: int, kappa: float, R: float) -> None:
-    # the quadrature spans 2R, so 2R must be finite too; a NaN fails every test
-    if not (n >= 1 and 0 < kappa < math.inf and 0 < 2 * R < math.inf):
+def _check_perron(f: TruncatedDirichletSeries, n: int, kappa: float, R: float) -> None:
+    # the quadrature spans 2R and the kernel's phases t log(n/m) reach
+    # 2R max|log(n/m)|, so both must be finite; a NaN fails every test.
+    # log(n/m) is monotone in m, so the support's ends attain the max.
+    ends = (min(f.coeffs, default=n), max(f.coeffs, default=n))
+    if not (
+        n >= 1
+        and 0 < kappa < math.inf
+        and 0 < 2 * R < math.inf
+        and all(math.isfinite(2 * R * math.log(n / m)) for m in ends)
+    ):
         raise ValueError(
-            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, with a finite kappa and 2R, "
-            f"got n={n}, kappa={kappa}, R={R}"
+            f"Perron needs n >= 1, kappa > 0 and a finite R > 0, with a finite kappa, 2R and "
+            f"2R max|log(n/m)|, got n={n}, kappa={kappa}, R={R}"
         )
 
 
@@ -334,7 +340,7 @@ def perron_recover(
     Fixed-step, no adaptivity, so runs are reproducible; the evaluator is a
     finite Dirichlet polynomial, hence kappa > 0 suffices.
     """
-    _check_perron(n, kappa, R)
+    _check_perron(f, n, kappa, R)
     if steps < 2:
         raise ValueError("need at least 2 quadrature steps")
     ns, cs = _coeff_arrays(f)
@@ -375,7 +381,7 @@ def perron_error_bound(
     f: TruncatedDirichletSeries, n: int, kappa: float, R: float
 ) -> float:
     """Sum over m != n of |a_m| (n/m)^kappa / (R |log(n/m)|)."""
-    _check_perron(n, kappa, R)
+    _check_perron(f, n, kappa, R)
     bound = 0.0
     for m, c in f.coeffs.items():
         if m == n:

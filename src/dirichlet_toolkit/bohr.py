@@ -286,10 +286,10 @@ class TorusSupResult:
         }
 
 
-def _phase_arrays(terms, variables, radii) -> tuple[np.ndarray, np.ndarray]:
-    """The lift on the torus of the given radii as (weights, exps).
+def _phase_arrays(terms, variables, radius) -> tuple[np.ndarray, np.ndarray]:
+    """The lift on the torus of the given radius as (weights, exps).
 
-    weights[m] = c_m * prod r_i^{e_i} and exps[m] is the integer exponent row
+    weights[m] = c_m * prod r^{e_i} and exps[m] is the integer exponent row
     of term m over ``variables``, so the value at phases theta is
     weights @ exp(i * exps @ theta).
     """
@@ -299,7 +299,7 @@ def _phase_arrays(terms, variables, radii) -> tuple[np.ndarray, np.ndarray]:
     for m, (mono, c) in enumerate(terms):
         coef = complex(c)
         for i, e in mono:
-            coef *= radii[i] ** e
+            coef *= radius**e
             exps[m, axis_of[i]] = e
         weights[m] = coef
     return weights, exps
@@ -308,14 +308,14 @@ def _phase_arrays(terms, variables, radii) -> tuple[np.ndarray, np.ndarray]:
 def _grid_values(
     terms: list[tuple[Monomial, complex]],
     variables: list[int],
-    radii: dict[int, float],
+    radius: float,
     grid_per_var: int,
 ) -> np.ndarray:
     """Dense evaluation on the phase grid (grid_per_var,)*k, row-major."""
     k = len(variables)
     g = grid_per_var
     theta = 2.0 * np.pi * np.arange(g) / g
-    weights, exps = _phase_arrays(terms, variables, radii)
+    weights, exps = _phase_arrays(terms, variables, radius)
     # One broadcast product per term: a dense (g^k, terms) phase matrix
     # would hold terms times the grid in memory at once.
     vals = np.zeros((g,) * k, dtype=np.complex128)
@@ -511,10 +511,9 @@ def torus_sup(
     const = abs(complex(pf.terms.get((), 0j)))
     if k == 0:
         return TorusSupResult(const, {}, {}, radius, True)
-    radii = {v: radius for v in variables}
     terms = list(pf.terms.items())
-    weights, exps = _phase_arrays(terms, variables, radii)
-    vals = _grid_values(terms, variables, radii, grid_per_var)
+    weights, exps = _phase_arrays(terms, variables, radius)
+    vals = _grid_values(terms, variables, radius, grid_per_var)
     idx = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
     theta_grid = 2.0 * np.pi * np.array(idx, dtype=float) / grid_per_var
 
@@ -554,38 +553,30 @@ def auto_grid(nvars: int) -> int:
 
 
 def cauchy_coefficient(
-    f_or_poly,
+    f: TruncatedDirichletSeries,
     n: int,
     table: PrimeTable,
     grid_per_var: int,
-    radius=0.5,
+    radius: float = 0.5,
 ) -> complex:
     """Recover a_n by a discrete Fourier average over a uniform torus grid.
 
     Exact (up to rounding) when grid_per_var exceeds every per-variable
     degree of the underlying polynomial; too small a grid aliases silently,
-    so the caller supplies the degree bound.  ``radius`` may be a scalar or
-    a per-variable mapping {index: r_i}.
+    so the caller supplies the degree bound.  The grid lies on the torus of
+    the given radius in every variable.
     """
-    if isinstance(f_or_poly, TruncatedDirichletSeries):
-        poly = bohr_lift(f_or_poly, table)
-    else:
-        poly = f_or_poly
-    pf = poly.to_float()
+    pf = bohr_lift(f, table).to_float()
     target = table.factor(n).as_dict()
     variables = sorted(set(pf.variables()) | set(target))
     k = len(variables)
     _check_grid(grid_per_var, k)
     if k == 0:
         return complex(pf.terms.get((), 0j))
-    if isinstance(radius, dict):
-        radii = {v: float(radius.get(v, 0.5)) for v in variables}
-    else:
-        radii = {v: float(radius) for v in variables}
-    for v, r in radii.items():
-        if not 0 < r <= 1:
-            raise ValueError(f"radius for variable {v} must lie in (0, 1]")
-    vals = _grid_values(list(pf.terms.items()), variables, radii, grid_per_var)
+    radius = float(radius)
+    if not 0 < radius <= 1:
+        raise ValueError(f"radius must lie in (0, 1], got {radius}")
+    vals = _grid_values(list(pf.terms.items()), variables, radius, grid_per_var)
     g = grid_per_var
     theta = 2.0 * np.pi * np.arange(g) / g
     # Multiply by conj of the target monomial phase and divide by its radius
@@ -598,7 +589,7 @@ def cauchy_coefficient(
             vals = vals * np.exp(-1j * a * theta).reshape(shape)
     scale = 1.0
     for v in variables:
-        scale *= radii[v] ** target.get(v, 0)
+        scale *= radius ** target.get(v, 0)
     got = complex(vals.mean() / scale)
     # finite coefficients can still overflow the grid values or their mean
     if not cmath.isfinite(got):

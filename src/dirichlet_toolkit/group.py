@@ -197,57 +197,48 @@ class PermutationGroup:
     def __init__(self, generators):
         self.generators = list(generators)
         self._elements: list[FiniteSupportPermutation] | None = None
-        self._enumeration_failed = False
 
     @classmethod
     def from_cycles(cls, *cycle_strings):
         return cls([FiniteSupportPermutation.from_cycles(s) for s in cycle_strings])
 
-    def elements(self) -> list[FiniteSupportPermutation] | None:
-        """Full element list, or None when enumeration is not possible."""
-        if self._elements is not None:
-            return self._elements
-        if self._enumeration_failed:
-            return None
-        seen = None
-        if all(isinstance(g, FiniteSupportPermutation) for g in self.generators):
-            gens = self.generators + [g.inverse() for g in self.generators]
-            seen, _ = _closure(
-                [FiniteSupportPermutation.identity()],
-                lambda el: (g * el for g in gens),
-                ENUMERATION_CAP,
-            )
-        if seen is None:
-            self._enumeration_failed = True
-            return None
-        self._elements = sorted(seen, key=lambda p: sorted(p._map.items()))
+    def elements(self) -> list[FiniteSupportPermutation]:
+        """Full element list; GroupTooLargeError when enumeration is not possible."""
+        if self._elements is None:
+            seen = None
+            if all(isinstance(g, FiniteSupportPermutation) for g in self.generators):
+                gens = self.generators + [g.inverse() for g in self.generators]
+                seen, _ = _closure(
+                    [FiniteSupportPermutation.identity()],
+                    lambda el: (g * el for g in gens),
+                    ENUMERATION_CAP,
+                )
+            if seen is None:
+                raise GroupTooLargeError(f"group has no enumeration within cap {ENUMERATION_CAP}")
+            self._elements = sorted(seen, key=lambda p: sorted(p._map.items()))
         return self._elements
-
-    def order(self) -> int | None:
-        els = self.elements()
-        return None if els is None else len(els)
 
 
 # -- the completely multiplicative action ---------------------------------
 
 
-def _vector_value(exponents: dict[int, int], table: PrimeTable, ceiling: int) -> int:
+def _vector_value(entries, table: PrimeTable) -> int:
+    """The integer with the sorted exponent vector ``entries``, at most CEILING."""
     n = 1
-    for i, e in sorted(exponents.items()):
+    for i, e in entries:
         p = table.prime(i)
         for _ in range(e):
             n *= p
-            if n > ceiling:
+            if n > CEILING:
                 raise ProductCeilingError(
-                    f"permuted image exceeds the product ceiling {ceiling}"
+                    f"permuted image exceeds the product ceiling {CEILING}"
                 )
     return n
 
 
 def hat_apply(sigma, n: int, table: PrimeTable) -> int:
     """sigma_hat(n) = prod p_{sigma(i)}^{e_i} for n = prod p_i^{e_i}."""
-    vec = table.factor(n).as_dict()
-    return _vector_value({sigma(i): e for i, e in vec.items()}, table, CEILING)
+    return _vector_value(sorted((sigma(i), e) for i, e in table.factor(n).entries), table)
 
 
 def act(sigma, f: TruncatedDirichletSeries, table: PrimeTable) -> TruncatedDirichletSeries:
@@ -268,52 +259,21 @@ def act(sigma, f: TruncatedDirichletSeries, table: PrimeTable) -> TruncatedDiric
 # -- orbit machinery ------------------------------------------------------
 
 
-def _images(generators, exponents: dict[int, int]):
-    """Yield (g, image) for the exponent vector moved by each generator g and by g^-1."""
-    for g in generators:
-        yield g, {g(i): e for i, e in exponents.items()}
-        yield g, {g.inv(i): e for i, e in exponents.items()}
+def _images(generators, entries):
+    """Yield (g, image) for the exponent vector moved by each generator g and by g^-1.
 
-
-@dataclass(frozen=True)
-class IntegerOrbit:
-    seed: int
-    members: tuple[int, ...]
-    status: str  # "finite" | "unresolved"
-    bound: int
-
-
-def integer_orbit(generators, n: int, bound: int, table: PrimeTable) -> IntegerOrbit:
-    """BFS closure of n under sigma_hat of every generator and inverse.
-
-    The closure is tracked on factorization exponent vectors, so members may
-    be certified without factoring the (possibly large) images.  The start
-    n is a member even beyond ``bound``; if any other image exceeds it, or
-    the product ceiling or the table, the orbit is reported unresolved, not
-    an error.
+    Vectors are sorted (index, exponent) tuples, as in ``Factorization.entries``.
     """
-    start = tuple(sorted(table.factor(n).as_dict().items()))
-
-    def step(vec):
-        for _, image in _images(generators, dict(vec)):
-            key = tuple(sorted(image.items()))
-            try:
-                if key != start:
-                    _vector_value(image, table, min(bound, CEILING))
-            except (ProductCeilingError, TableTooSmallError):
-                key = None
-            yield key
-
-    vecs, escaped = _closure([start], step)
-    members = sorted(_vector_value(dict(vec), table, CEILING) for vec in vecs)
-    return IntegerOrbit(n, tuple(members), "unresolved" if escaped else "finite", bound)
+    for g in generators:
+        yield g, tuple(sorted((g(i), e) for i, e in entries))
+        yield g, tuple(sorted((g.inv(i), e) for i, e in entries))
 
 
 def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
     """Orbit of a single prime index under the generators, BFS-bounded.
 
-    As in ``integer_orbit``, the start i is a member even beyond ``bound``;
-    the orbit is unresolved when any other image exceeds it.
+    The start i is a member even beyond ``bound``; the orbit is unresolved
+    when any other image exceeds it.
     """
 
     def step(j):
@@ -326,13 +286,6 @@ def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
 
 
 # -- invariant projection and friends -------------------------------------
-
-
-def _all_elements(group: PermutationGroup) -> list[FiniteSupportPermutation]:
-    elements = group.elements()
-    if elements is None:
-        raise GroupTooLargeError(f"group has no enumeration within cap {ENUMERATION_CAP}")
-    return elements
 
 
 def project_invariant(
@@ -360,9 +313,9 @@ def project_invariant(
     bound = max([len(table), *moved])
 
     def step(vec):
-        for _, image in _images(gens, dict(vec)):
-            _vector_value(image, table, CEILING)  # errors propagate
-            yield tuple(sorted(image.items()))
+        for _, image in _images(gens, vec):
+            _vector_value(image, table)  # errors propagate
+            yield image
 
     zero = scalars.zero(f.mode)
     out: dict[int, object] = {}
@@ -372,13 +325,13 @@ def project_invariant(
     for n in sorted(f.coeffs):
         if n in done:
             continue
-        vec = table.factor(n).as_dict()
-        for i in vec:
+        vec = table.factor(n).entries
+        for i, _ in vec:
             if i not in finite:
                 # every member of an index orbit shares its status
                 orbit, status = index_orbit(gens, i, bound)
                 finite.update(dict.fromkeys(orbit, status == "finite"))
-        if not all(finite[i] for i in vec):
+        if not all(finite[i] for i, _ in vec):
             if policy == "error":
                 raise UnresolvedOrbitError(
                     f"orbit of a prime index of {n} is not certified finite "
@@ -387,8 +340,8 @@ def project_invariant(
             done.add(n)
             continue
         # every index orbit is finite, so this closure is finite too
-        vecs, _ = _closure([tuple(sorted(vec.items()))], step)
-        members = sorted(_vector_value(dict(v), table, CEILING) for v in vecs)
+        vecs, _ = _closure([vec], step)
+        members = sorted(_vector_value(v, table) for v in vecs)
         total = zero
         for k in members:
             total = total + f.coeffs.get(k, zero)
@@ -409,7 +362,7 @@ def group_average(
     Cross-check for the orbit-average projection (they agree for every
     enumerable group); requires a full enumeration.
     """
-    elements = _all_elements(group)
+    elements = group.elements()
     acc: dict[int, object] = {}
     window = f.window
     for el in elements:
@@ -424,7 +377,7 @@ def group_average(
 @dataclass(frozen=True)
 class InvarianceReport:
     status: str  # "invariant" | "violated" | "inconclusive"
-    witness: tuple[int, object] | None  # (n, sigma) for the first violation
+    witness: tuple[int, object] | None  # (n, sigma) for the smallest violating n
     checked_pairs: int
     escaped: bool
 
@@ -435,38 +388,31 @@ class InvarianceReport:
 def is_invariant(
     f: TruncatedDirichletSeries, group: PermutationGroup, table: PrimeTable
 ) -> InvarianceReport:
-    """Check a_{sigma_hat(n)} = a_n over the support closure within the window.
+    """Check a_{sigma_hat(n)} = a_n for every n in the support, in increasing n.
 
-    The closure may escape the window (the action moves support outward);
-    pairs with an image beyond the window cannot be checked against stored
-    data, so a clean run with escapes reports ``inconclusive`` rather than
-    ``invariant``.
+    An equal coefficient puts the image in the support too, so one pass
+    over the support checks its whole closure within the window.  The
+    action moves support outward; pairs with an image beyond the window
+    cannot be checked against stored data, so a clean run with escapes
+    reports ``inconclusive`` rather than ``invariant``.  A violation names
+    the smallest violating n.
     """
-    gens = group.generators
     zero = scalars.zero(f.mode)
-    closure = set(f.coeffs)
-    frontier = list(closure)
     escaped = False
     checked = 0
-    while frontier:
-        nxt = []
-        for n in frontier:
-            for g, image_vec in _images(gens, table.factor(n).as_dict()):
-                try:
-                    m = _vector_value(image_vec, table, CEILING)
-                except (ProductCeilingError, TableTooSmallError):
-                    escaped = True
-                    continue
-                if m > f.window:
-                    escaped = True
-                    continue
-                checked += 1
-                if f.coeffs.get(n, zero) != f.coeffs.get(m, zero):
-                    return InvarianceReport("violated", (n, g), checked, escaped)
-                if m not in closure:
-                    closure.add(m)
-                    nxt.append(m)
-        frontier = nxt
+    for n in sorted(f.coeffs):
+        for g, image in _images(group.generators, table.factor(n).entries):
+            try:
+                m = _vector_value(image, table)
+            except (ProductCeilingError, TableTooSmallError):
+                escaped = True
+                continue
+            if m > f.window:
+                escaped = True
+                continue
+            checked += 1
+            if f.coeffs[n] != f.coeffs.get(m, zero):
+                return InvarianceReport("violated", (n, g), checked, escaped)
     status = "inconclusive" if escaped else "invariant"
     return InvarianceReport(status, None, checked, escaped)
 
@@ -492,7 +438,7 @@ def invariant_orbit_sums(
     Monomials in x_1..x_M are permuted through the variable indices; each
     orbit contributes the sum of its monomials with coefficient 1.
     """
-    elements = _all_elements(group)
+    elements = group.elements()
     seen: set = set()
     sums: list[SparseMultiPoly] = []
     for d in range(degree + 1):

@@ -216,7 +216,7 @@ def test_torus_sup_triangle_fixture():
 def test_polish_leaves_a_saddle_for_the_maximum():
     # |1 + e^{ia} + e^{ib}|^2 has zero gradient at (pi, 0) and Hessian
     # [[-4, 2], [2, 0]] there: a saddle, not a maximum.
-    weights, exps = _phase_arrays(list(_TRIANGLE.terms.items()), [1, 2], {1: 1.0, 2: 1.0})
+    weights, exps = _phase_arrays(list(_TRIANGLE.terms.items()), [1, 2], 1.0)
     theta, value, certified = _polish(weights, exps, np.array([np.pi, 0.0]))
     assert value == pytest.approx(3.0, abs=1e-12)
     assert certified
@@ -342,16 +342,6 @@ def test_cauchy_matches_dft_orthogonality_oracle(table):
     got = cauchy_coefficient(f, n, table, grid_per_var=g, radius=r)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx(-2.0, abs=1e-10)
-
-
-def test_cauchy_per_variable_radius(table):
-    # 90 = 2 * 3^2 * 5 and 12 = 2^2 * 3 lift to x1 x2^2 x3 and x1^2 x2.
-    f = TruncatedDirichletSeries(100, {1: 0.5, 12: 2.0 - 1.0j, 90: -3.0j, 25: 1.5}, FLOAT)
-    radius = {1: 0.3, 2: 0.6, 3: 0.9}
-    got = cauchy_coefficient(f, 90, table, grid_per_var=4, radius=radius)
-    assert got == pytest.approx(-3.0j, abs=1e-10)
-    got = cauchy_coefficient(f, 12, table, grid_per_var=4, radius=radius)
-    assert got == pytest.approx(2.0 - 1.0j, abs=1e-10)
 
 
 def test_cauchy_aliases_when_grid_too_small(table):

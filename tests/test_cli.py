@@ -423,6 +423,26 @@ def test_analyze_line_sup_rejects_bad_parameters(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_analyze_line_sup_rejects_an_overflowing_phase(tmp_path, capsys):
+    # 2T = 1.6e308 is finite, but the phases reach 2T log 12 > 3.9e308
+    f = tmp_path / "zeta.json"
+    run(["build", "zeta", "--window", "12", "--mode", "float", "--out", str(f)])
+    out = tmp_path / "o.json"
+    assert run(["analyze", "line-sup", str(f), "--T", "8e307", "--out", str(out)]) == 2
+    assert "line_sup needs a finite sigma and a finite T > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_perron_rejects_an_overflowing_phase(tmp_path, capsys):
+    # 2R = 1.6e308 is finite, but the phases reach 2R |log(2/12)| > 2.8e308
+    f = tmp_path / "zeta.json"
+    run(["build", "zeta", "--window", "12", "--mode", "float", "--out", str(f)])
+    out = tmp_path / "p.json"
+    assert run(["analyze", "perron", str(f), "--n", "2", "--R", "8e307", "--out", str(out)]) == 2
+    assert "Perron needs n >= 1, kappa > 0 and a finite R > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("build", [["zeta", "--window", "8"], ["monomial", "1", "2"]])
 def test_analyze_torus_sup_rejects_empty_grid(tmp_path, capsys, build):
     f = tmp_path / "f.json"

@@ -16,7 +16,6 @@ from dirichlet_toolkit import (
     group_average,
     hat_apply,
     infinite_index_cycle,
-    integer_orbit,
     invariant_orbit_sums,
     is_invariant,
     phi_restrict,
@@ -110,18 +109,18 @@ def test_act_transports_coefficients(table):
 
 
 def test_group_enumeration_orders():
-    assert PermutationGroup.from_cycles("(1 2)").order() == 2
-    assert PermutationGroup.from_cycles("(1 2)", "(2 3)").order() == 6
-    assert PermutationGroup.from_cycles("(1 2)", "(2 3)", "(3 4)").order() == 24
-    assert PermutationGroup.from_cycles("(1 2 3 4 5)").order() == 5
-    assert PermutationGroup.from_cycles().order() == 1
+    assert len(PermutationGroup.from_cycles("(1 2)").elements()) == 2
+    assert len(PermutationGroup.from_cycles("(1 2)", "(2 3)").elements()) == 6
+    assert len(PermutationGroup.from_cycles("(1 2)", "(2 3)", "(3 4)").elements()) == 24
+    assert len(PermutationGroup.from_cycles("(1 2 3 4 5)").elements()) == 5
+    assert len(PermutationGroup.from_cycles().elements()) == 1
 
 
 def test_group_enumeration_cap(monkeypatch):
     monkeypatch.setattr(group, "ENUMERATION_CAP", 4)
     grp = PermutationGroup.from_cycles("(1 2)", "(2 3)")
-    assert grp.elements() is None
-    assert grp.order() is None
+    with pytest.raises(GroupTooLargeError):
+        grp.elements()
 
 
 def test_group_enumeration_cap_boundary(monkeypatch):
@@ -129,21 +128,8 @@ def test_group_enumeration_cap_boundary(monkeypatch):
     monkeypatch.setattr(group, "ENUMERATION_CAP", 6)
     assert len(PermutationGroup.from_cycles("(1 2)", "(2 3)").elements()) == 6
     monkeypatch.setattr(group, "ENUMERATION_CAP", 5)
-    assert PermutationGroup.from_cycles("(1 2)", "(2 3)").elements() is None
-
-
-def test_integer_orbit_finite(table):
-    sigma = FiniteSupportPermutation.from_cycles("(1 2)")
-    orb = integer_orbit([sigma], 12, 10_000, table)
-    assert orb.status == "finite"
-    assert orb.members == (12, 18)
-    assert integer_orbit([sigma], 6, 10_000, table).members == (6,)
-
-
-def test_integer_orbit_unresolved_infinite_cycle(table):
-    rho = infinite_index_cycle()
-    orb = integer_orbit([rho], 2, 10_000, table)
-    assert orb.status == "unresolved"
+    with pytest.raises(GroupTooLargeError):
+        PermutationGroup.from_cycles("(1 2)", "(2 3)").elements()
 
 
 def test_index_orbit_and_partition():
@@ -163,12 +149,10 @@ def test_index_orbit_unresolved_for_rule_permutation():
 
 
 def test_orbit_start_beyond_the_bound_is_a_member(table):
-    # only a new image beyond the bound escapes, for indices as for integers
+    # only a new image beyond the bound escapes
     sigma = FiniteSupportPermutation.from_cycles("(1 2)")
     assert index_orbit([sigma], 101, bound=100) == ((101,), "finite")
     assert index_orbit([infinite_index_cycle()], 101, bound=100)[1] == "unresolved"
-    orb = integer_orbit([sigma], 210, 100, table)
-    assert (orb.members, orb.status) == ((210,), "finite")
     # (1 2) fixes p_100001 = 1299721, within the table's 100021 primes
     f = TruncatedDirichletSeries(1_299_721, {2: ExactComplex(1), 1_299_721: ExactComplex(1)})
     pf = project_invariant(f, PermutationGroup.from_cycles("(1 2)"), PrimeTable(1_300_000))
@@ -283,6 +267,20 @@ def test_is_invariant_detects_violation(table):
     rep = is_invariant(f, grp, table)
     assert rep.status == "violated"
     assert not rep
+
+
+def test_is_invariant_names_the_smallest_violating_n(table):
+    # Under (1 2), 2 <-> 3 agree, while 4 -> 9 and 10 -> 15 land on zeros.  The
+    # set of the support iterates 10 before 4, but the one pass in increasing n
+    # checks 2 and 3 (two images each) and stops at 4, its fifth pair.
+    grp = PermutationGroup.from_cycles("(1 2)")
+    f = TruncatedDirichletSeries(20, dict.fromkeys([2, 3, 4, 10], ExactComplex(1)))
+    assert list(set(f.coeffs)) != sorted(f.coeffs)
+    rep = is_invariant(f, grp, table)
+    assert rep.status == "violated"
+    assert rep.witness == (4, grp.generators[0])
+    assert rep.checked_pairs == 5
+    assert not rep.escaped
 
 
 def test_is_invariant_inconclusive_on_window_escape(table):
