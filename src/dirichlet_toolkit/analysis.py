@@ -59,24 +59,37 @@ def partial_sum(f: TruncatedDirichletSeries, s: complex) -> complex:
     return total
 
 
-def _golden_max(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
-    a, b = lo, hi
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+def _golden_max(fn, lo: list[float], hi: list[float]) -> list[tuple[float, float]]:
+    """Golden-section maximization on each bracket [lo[i], hi[i]] at once.
+
+    ``fn`` maps a list of points to an array of their values, so each step
+    evaluates the new point of every bracket in one call.  Each bracket
+    follows its own update rule on plain floats: on a handful of brackets a
+    Python loop is cheaper than masked array updates.  Returns
+    (argmax, max) per bracket.
+    """
+    a, b = list(lo), list(hi)
+    x1 = [q - GOLDEN * (q - p) for p, q in zip(a, b)]
+    x2 = [p + GOLDEN * (q - p) for p, q in zip(a, b)]
+    f1, f2 = fn(x1).tolist(), fn(x2).tolist()
     for _ in range(_GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = fn(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+        right = [u < v for u, v in zip(f1, f2)]
+        new = []
+        for i, r in enumerate(right):
+            if r:
+                a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+                x2[i] = a[i] + GOLDEN * (b[i] - a[i])
+                new.append(x2[i])
+            else:
+                b[i], x2[i], f2[i] = x2[i], x1[i], f1[i]
+                x1[i] = b[i] - GOLDEN * (b[i] - a[i])
+                new.append(x1[i])
+        for i, (r, v) in enumerate(zip(right, fn(new).tolist())):
+            if r:
+                f2[i] = v
+            else:
+                f1[i] = v
+    return [(p, u) if u >= v else (q, v) for p, q, u, v in zip(x1, x2, f1, f2)]
 
 
 @dataclass
@@ -105,8 +118,9 @@ def line_sup(
 ) -> LineSupReport:
     """Max of |sum a_n n^{-sigma-it}| over a uniform t-grid in [-T, T].
 
-    Golden-section refinement is run around the best few grid points, which
-    keeps the estimate deterministic for fixed parameters.
+    Golden-section refinement is run around the best few grid points, their
+    brackets stepped together, which keeps the estimate deterministic for
+    fixed parameters.
     """
     # the grid spans 2T and the kernel's phases t log n reach 2T log(max n),
     # so both must be finite; a NaN fails every test
@@ -136,18 +150,20 @@ def line_sup(
     k = min(_REFINE_CANDIDATES, samples)
     top = np.flatnonzero(vals >= np.partition(vals, samples - k)[samples - k])
     top = top[np.argsort(-vals[top], kind="stable")][:k]
-    step = ts[1] - ts[0]
+    step = float(ts[1] - ts[0])
 
-    def magnitude(t: float) -> float:
-        return abs(np.dot(weights, np.exp(-1j * t * logn)))
+    ilogn = -1j * logn
+
+    def magnitude(t: list[float]) -> np.ndarray:
+        return np.abs(np.exp(np.outer(t, ilogn)) @ weights)
 
     # the grid only ranks the candidates: every returned value is evaluated directly
     sup_t = float(ts[top[0]])
-    sup_val = magnitude(sup_t)
-    for t0 in ts[top]:
-        t_star, v_star = _golden_max(
-            magnitude, max(-T, t0 - step), min(T, t0 + step)
-        )
+    sup_val = magnitude([sup_t])[0]
+    centres = ts[top].tolist()
+    lo = [max(-T, t0 - step) for t0 in centres]
+    hi = [min(T, t0 + step) for t0 in centres]
+    for t_star, v_star in _golden_max(magnitude, lo, hi):
         if v_star > sup_val:
             sup_val, sup_t = v_star, t_star
     return LineSupReport(sigma, T, samples, float(sup_val), float(sup_t))

@@ -374,31 +374,84 @@ def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
     return float(vals[best]), float(t[best])
 
 
-def _coordinate_ascent(
-    weights, variables, exps, theta0: np.ndarray, max_cycles: int
-) -> tuple[np.ndarray, float, bool]:
-    """Cyclic exact line maximization along each phase coordinate.
+def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_line_max_on_circle`` of each row of the (S, d + 1) array ``coeffs``.
 
-    ``(weights, exps)`` is the lift from ``_phase_arrays``; ``variables``
-    names the columns of ``exps``.
+    Degrees 0 and 1 take the closed form on every row at once.  Above that,
+    a row that passes the scalar kernel's moderate-scale test has nonzero
+    end entries in z^d F', so every such row has 2d critical roots: one
+    stacked ``eigvals`` on companion matrices built as ``np.roots`` builds
+    them finds them all.  Each row's candidates are phase 0 and the angles
+    of its roots on the unit circle, in that order, so ties go to the same
+    candidate as in the scalar kernel.  The remaining rows go to
+    ``_line_max_on_circle`` one at a time, with its rescale-and-trim path.
+    """
+    count, n = coeffs.shape
+    d = n - 1
+    if d <= 1:
+        c0 = coeffs[:, 0]
+        c1 = coeffs[:, 1] if d == 1 else np.zeros_like(c0)
+        t = np.arctan2(c0.imag, c0.real) - np.arctan2(c1.imag, c1.real)
+        return np.abs(c0) + np.abs(c1), np.where((c0 != 0) & (c1 != 0), t, 0.0)
+    values, phases = np.empty(count), np.empty(count)
+    # Autocorrelation A_m, m = -d..d, of every row, as in the scalar kernel.
+    a = np.zeros((count, 2 * d + 1), dtype=np.complex128)
+    for j in range(n):
+        a[:, j : j + n] += coeffs[:, j : j + 1] * np.conj(coeffs[:, ::-1])
+    a0 = a[:, d].real
+    ok = (1e-200 < a0) & (a0 < 1e200) & (np.abs(a[:, 0]) > 1e-12 * a0)
+    for s in np.flatnonzero(~ok):
+        values[s], phases[s] = _line_max_on_circle(coeffs[s])
+    if ok.any():
+        c = coeffs[ok]
+        # z^d F'(t) = sum_m i m A_m z^{m+d}, highest power first
+        p = (1j * np.arange(-d, d + 1) * a[ok])[:, ::-1]
+        companion = np.zeros((len(c), 2 * d, 2 * d), dtype=np.complex128)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+        roots = np.linalg.eigvals(companion)
+        t = np.concatenate((np.zeros((len(c), 1)), np.angle(roots)), axis=1)
+        vals = np.abs(np.exp(1j * (t[:, :, None] * np.arange(n))) @ c[:, :, None])[:, :, 0]
+        vals[:, 1:][np.abs(np.abs(roots) - 1.0) >= 1e-6] = -np.inf
+        best = np.argmax(vals, axis=1)
+        picked = np.arange(len(c))
+        values[ok], phases[ok] = vals[picked, best], t[picked, best]
+    return values, phases
+
+
+def _ascend(
+    weights, exps, theta0: np.ndarray, max_cycles: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cyclic exact line maximization along each phase coordinate, from the
+    starts in the rows of ``theta0`` at once.
+
+    ``(weights, exps)`` is the lift from ``_phase_arrays``.  Along each axis
+    every active row's univariate coefficients come from one product with a
+    one-hot (terms, degree + 1) matrix, and ``_line_max_rows`` maximizes
+    them all.  A row retires once a cycle gains at most 1e-13 max(1, value);
+    returns the phases, values and those convergence flags, row by row.
     """
     theta = np.array(theta0, dtype=float)
-    current = abs(weights @ np.exp(1j * (exps @ theta)))
-    converged = False
+    e = exps.T.astype(float)
+    onehot = [(col[:, None] == np.arange(col.max() + 1)).astype(float) for col in exps.T]
+    current = np.abs(np.exp(1j * (theta @ e)) @ weights)
+    converged = np.zeros(len(theta), dtype=bool)
     for _ in range(max_cycles):
-        before = current
-        for axis in range(len(variables)):
-            # Coefficients of the univariate polynomial in z = e^{i theta_axis}.
-            ph = weights * np.exp(1j * (exps @ theta - exps[:, axis] * theta[axis]))
-            u = np.bincount(exps[:, axis], ph.real) + 1j * np.bincount(exps[:, axis], ph.imag)
-            v, t = _line_max_on_circle(u)
-            if v >= current:
-                current = v
-                theta[axis] = t % (2.0 * np.pi)
-        if current - before <= 1e-13 * max(1.0, current):
-            converged = True
+        rows = np.flatnonzero(~converged)
+        before = current[rows]
+        for axis, hot in enumerate(onehot):
+            # Coefficients of each row's polynomial in z = e^{i theta_axis}.
+            th = theta[rows]
+            ph = weights * np.exp(1j * (th @ e - th[:, axis : axis + 1] * e[axis]))
+            v, t = _line_max_rows(ph @ hot)
+            up = v >= current[rows]
+            current[rows[up]] = v[up]
+            theta[rows[up], axis] = t[up] % (2.0 * np.pi)
+        after = current[rows]
+        converged[rows[after - before <= 1e-13 * np.maximum(1.0, after)]] = True
+        if converged.all():
             break
-    return theta, float(current), converged
+    return theta, current, converged
 
 
 # Newton steps and step halvings per polish, and the longest Newton step
@@ -482,7 +535,7 @@ def _check_grid(grid_per_var: int, k: int) -> None:
         )
 
 
-# Random starts of the optimizer after the best grid point, and the
+# Random starts of the optimizer after the best grid point, and the most
 # coordinate-ascent cycles from each start.
 _RESTARTS = 6
 _ASCENT_CYCLES = 12
@@ -496,11 +549,14 @@ def torus_sup(
 ) -> TorusSupResult:
     """Certified lower bound on sup |p| over the torus of the given radius.
 
-    Deterministic phase grid, seeded random restarts, cyclic exact
-    coordinate maximization and a Newton polish from each start.  Ties on
-    the grid break toward the first index in row-major phase order, so
-    results are reproducible.  ``converged`` is the polish's certificate at
-    the winning point.
+    Deterministic phase grid, then seven starts: the best grid point and
+    ``_RESTARTS`` seeded random phases.  The starts ascend together by
+    cyclic exact coordinate maximization, each for at most ``_ASCENT_CYCLES``
+    cycles and until a cycle gains at most 1e-13 max(1, value); each then
+    gets a Newton polish.  Ties on the grid break toward the first index in
+    row-major phase order, and ties between starts toward the grid start,
+    so results are reproducible.  ``converged`` is the polish's certificate
+    at the winning point.
     """
     if not 0 < radius <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
@@ -520,10 +576,8 @@ def torus_sup(
     rng = np.random.default_rng(seed)
     starts = [theta_grid] + [rng.uniform(0.0, 2.0 * np.pi, size=k) for _ in range(_RESTARTS)]
 
-    polished = [
-        _polish(weights, exps, _coordinate_ascent(weights, variables, exps, th0, _ASCENT_CYCLES)[0])
-        for th0 in starts
-    ]
+    ascended = _ascend(weights, exps, np.array(starts), _ASCENT_CYCLES)[0]
+    polished = [_polish(weights, exps, th) for th in ascended]
     # max keeps the first of equal values, so the grid start wins ties
     best_theta, best_val, conv = max(polished, key=lambda res: res[1])
     phases = {v: float(best_theta[a] % (2 * np.pi)) for a, v in enumerate(variables)}

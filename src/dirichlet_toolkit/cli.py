@@ -83,7 +83,8 @@ def _parse_r_grid(spec: str) -> list[float]:
     lo, hi, count = float(lo), float(hi), int(count)
     if count < 2:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    # the last point is hi itself: lo + (hi - lo) can round past it
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count - 1)] + [hi]
 
 
 # -- build ----------------------------------------------------------------

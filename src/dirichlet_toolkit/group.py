@@ -236,9 +236,16 @@ def _vector_value(entries, table: PrimeTable) -> int:
     return n
 
 
+def _entries(n: int, table: PrimeTable):
+    """The exponent vector of a stored n; TableTooSmallError once n passes the sieve."""
+    if n > table.bound:
+        raise TableTooSmallError(f"stored n = {n} beyond the prime table's sieve bound {table.bound}")
+    return table.factor(n).entries
+
+
 def hat_apply(sigma, n: int, table: PrimeTable) -> int:
     """sigma_hat(n) = prod p_{sigma(i)}^{e_i} for n = prod p_i^{e_i}."""
-    return _vector_value(sorted((sigma(i), e) for i, e in table.factor(n).entries), table)
+    return _vector_value(sorted((sigma(i), e) for i, e in _entries(n, table)), table)
 
 
 def act(sigma, f: TruncatedDirichletSeries, table: PrimeTable) -> TruncatedDirichletSeries:
@@ -325,7 +332,7 @@ def project_invariant(
     for n in sorted(f.coeffs):
         if n in done:
             continue
-        vec = table.factor(n).entries
+        vec = _entries(n, table)
         for i, _ in vec:
             if i not in finite:
                 # every member of an index orbit shares its status
@@ -401,7 +408,7 @@ def is_invariant(
     escaped = False
     checked = 0
     for n in sorted(f.coeffs):
-        for g, image in _images(group.generators, table.factor(n).entries):
+        for g, image in _images(group.generators, _entries(n, table)):
             try:
                 m = _vector_value(image, table)
             except (ProductCeilingError, TableTooSmallError):

@@ -19,7 +19,12 @@ from dirichlet_toolkit import (
     seminorm_profile,
     sigma_u_plus_estimate,
 )
-from dirichlet_toolkit.analysis import SeminormProfile, _line_values, perron_exact_truncated
+from dirichlet_toolkit.analysis import (
+    SeminormProfile,
+    _golden_max,
+    _line_values,
+    perron_exact_truncated,
+)
 from dirichlet_toolkit.errors import NumericFailureError
 from dirichlet_toolkit.scalars import FLOAT
 
@@ -240,6 +245,20 @@ def test_line_sup_returns_a_direct_evaluation_at_least_the_grid_max():
     cs = np.array([f.coeffs[int(n)] for n in ns])
     grid_max = np.abs(np.exp(-1j * np.outer(np.linspace(-T, T, samples), np.log(ns))) @ cs).max()
     assert rep.sup_estimate >= (1 - 1e-12) * grid_max
+
+
+def test_golden_brackets_step_together_but_apart():
+    # cos peaks inside the first two brackets and rises to the right end of
+    # the third; each bracket ends where it ends when searched alone
+    def fn(ts):
+        return np.array([math.cos(t) for t in ts])
+
+    lo, hi = [-0.3, 2 * math.pi - 0.1, -1.0], [0.2, 2 * math.pi + 0.4, -0.5]
+    together = _golden_max(fn, lo, hi)
+    assert together == [_golden_max(fn, [a], [b])[0] for a, b in zip(lo, hi)]
+    for (t, v), want in zip(together, [0.0, 2 * math.pi, -0.5]):
+        assert t == pytest.approx(want, abs=1e-7)
+        assert v == math.cos(t)
 
 
 @pytest.mark.parametrize("kappa", [math.inf, math.nan])

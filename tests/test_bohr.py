@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_toolkit import (
@@ -26,8 +26,11 @@ from dirichlet_toolkit import (
 from dirichlet_toolkit.analysis import partial_sum
 import dirichlet_toolkit
 from dirichlet_toolkit.bohr import (
+    _ASCENT_CYCLES,
     PolydiscPoint,
+    _ascend,
     _line_max_on_circle,
+    _line_max_rows,
     _phase_arrays,
     _polish,
     auto_grid,
@@ -178,6 +181,58 @@ def test_line_max_on_circle_constant_modulus(coeffs, expected):
     value, t = _line_max_on_circle(np.array(coeffs, dtype=np.complex128))
     assert value == pytest.approx(expected, rel=1e-15)
     assert t == 0.0
+
+
+@st.composite
+def _circle_rows(draw):
+    """One to six coefficient rows of a common degree 0..4.
+
+    A row may have c_0 = 0, and one of its coefficients is scaled by
+    10^-300..10^0, so some rows fail the moderate-scale test of the
+    batched kernel and take the scalar one.
+    """
+    n = draw(st.integers(1, 5))
+    rows = np.array(
+        draw(st.lists(st.lists(_circle_coeff, min_size=n, max_size=n), min_size=1, max_size=6)),
+        dtype=np.complex128,
+    )
+    for row in rows:
+        if draw(st.booleans()):
+            row[0] = 0
+        row[draw(st.integers(0, n - 1))] *= 10.0 ** draw(st.integers(-300, 0))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circle_rows())
+@example(np.array([[3 - 4j], [0j]]))
+@example(np.array([[0j, 1, 1], [1e-300, 1, 1], [1, 1, 1e-300], [1e-120, 1e-120, 1e-120], [1, 2j, -1]]))
+@example(np.array([[0.5, 0.5j, 0, 0], [0j, 0, 0, 0], [1e110, 1, 1, 1e110], [1, -1, 1, -1]]))
+def test_line_max_rows_matches_the_scalar_kernel(rows):
+    values, phases = _line_max_rows(rows)
+    for c, value, t in zip(rows, values, phases):
+        total = np.abs(c).sum()
+        assert value == pytest.approx(_line_max_on_circle(c)[0], abs=1e-12 * total)
+        assert value == pytest.approx(abs(np.polyval(c[::-1], np.exp(1j * t))), abs=1e-12 * total)
+
+
+def test_ascend_rows_match_one_row_ascents():
+    # From these six starts the ascent on the lift of this series retires
+    # after 10 or 11 cycles, or not within the limit at all.
+    coeffs = {1: 1.0, 3: -0.3 + 0.5j, 4: -0.2 - 0.8j, 5: -0.4 + 0.3j, 12: -0.3 - 1j}
+    p = bohr_lift(TruncatedDirichletSeries(20, coeffs, FLOAT), PrimeTable(20))
+    weights, exps = _phase_arrays(list(p.terms.items()), p.variables(), 1.0)
+    starts = np.array([[0.5 * (i + 1) * (a + 1) % 6.28 for a in range(3)] for i in range(6)])
+    theta, values, converged = _ascend(weights, exps, starts, _ASCENT_CYCLES)
+    retired = []
+    for s, start in enumerate(starts):
+        one_theta, one_value, one_converged = _ascend(weights, exps, start[None], _ASCENT_CYCLES)
+        np.testing.assert_allclose(theta[s], one_theta[0], rtol=1e-12)
+        assert values[s] == pytest.approx(one_value[0], rel=1e-12)
+        assert converged[s] == one_converged[0]
+        cycles = range(1, _ASCENT_CYCLES + 1)
+        retired.append(next((c for c in cycles if _ascend(weights, exps, start[None], c)[2][0]), None))
+    assert {10, 11, None} <= set(retired)
 
 
 @st.composite

@@ -376,6 +376,19 @@ def test_analyze_seminorm_profile_csv(tmp_path):
         assert float(row["value"]) == pytest.approx(float(row["r"]), abs=1e-9)
 
 
+def test_analyze_seminorm_profile_grid_ends_at_one(tmp_path):
+    # 0.2 + (1.0 - 0.2) * 3 / 3 rounds to 1.0000000000000002, past r = 1
+    f = tmp_path / "f.json"
+    run(["build", "zeta", "--window", "12", "--out", str(f)])
+    out = tmp_path / "profile.json"
+    assert run(
+        ["analyze", "seminorm-profile", str(f), "--r-grid", "0.2:1.0:4", "--out", str(out)]
+    ) == 0
+    r_grid = read_json(out)["witness"]["r_grid"]
+    assert len(r_grid) == 4
+    assert r_grid[-1] == 1.0
+
+
 def test_analyze_perron_and_cauchy(tmp_path):
     f = tmp_path / "f.json"
     run(["build", "monomial", "5", "3", "--window", "10", "--out", str(f)])

@@ -246,6 +246,27 @@ def test_project_reports_an_index_beyond_the_table(table):
         project_invariant(f, grp, table)
 
 
+_PAST_THE_SIEVE = TruncatedDirichletSeries(30, {25: ExactComplex(1)})
+
+
+def test_project_names_the_table_when_the_support_passes_its_sieve():
+    grp = PermutationGroup.from_cycles("(1 2)")
+    with pytest.raises(TableTooSmallError, match="n = 25 beyond the prime table's sieve bound 10"):
+        project_invariant(_PAST_THE_SIEVE, grp, PrimeTable(10))
+
+
+def test_group_average_names_the_table_when_the_support_passes_its_sieve():
+    grp = PermutationGroup.from_cycles("(1 2)")
+    with pytest.raises(TableTooSmallError, match="n = 25 beyond the prime table's sieve bound 10"):
+        group_average(_PAST_THE_SIEVE, grp, PrimeTable(10))
+
+
+def test_is_invariant_names_the_table_when_the_support_passes_its_sieve():
+    grp = PermutationGroup.from_cycles("(1 2)")
+    with pytest.raises(TableTooSmallError, match="n = 25 beyond the prime table's sieve bound 10"):
+        is_invariant(_PAST_THE_SIEVE, grp, PrimeTable(10))
+
+
 def test_group_average_matches_projection(table):
     grp = PermutationGroup.from_cycles("(1 2)", "(2 3)")
     f = TruncatedDirichletSeries(
