@@ -21,70 +21,90 @@ _MODES = (EXACT, FLOAT)
 
 
 class ExactComplex:
-    """Complex number with Fraction real and imaginary parts.
+    """Gaussian rational (re_num + im_num i) / den, held as three integers.
 
-    Closed under +, -, *, / and integer powers; hashable and immutable.
+    The triple is canonical: den > 0 and gcd(re_num, im_num, den) == 1, so
+    equal values have equal triples and zero is (0, 0, 1).  Each +, -, *
+    and / forms its integer numerators and denominator and reduces them
+    with one gcd, skipped when den == 1.  ``.re`` and ``.im`` are the parts
+    as Fractions.  Closed under +, -, *, / and integer powers; hashable and
+    immutable.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_triple",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re = Fraction(re)
+        im = Fraction(im)
+        den = math.lcm(re.denominator, im.denominator)
+        # lowest terms already: each prime's full power in den divides one
+        # part's denominator, and that part's scaled numerator is prime to it
+        num_re = re.numerator * (den // re.denominator)
+        num_im = im.numerator * (den // im.denominator)
+        _set_triple(self, (num_re, num_im, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ExactComplex is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._triple[0], self._triple[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._triple[1], self._triple[2])
 
     @classmethod
     def coerce(cls, value) -> "ExactComplex":
         if isinstance(value, ExactComplex):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction, str)):
             return cls(value)
-        if isinstance(value, str):
-            return cls(Fraction(value))
         if isinstance(value, tuple) and len(value) == 2:
-            return cls(Fraction(value[0]), Fraction(value[1]))
+            return cls(*value)
         raise TypeError(f"cannot coerce {value!r} to an exact complex scalar")
 
     def __add__(self, other):
         if type(other) is not ExactComplex:
             other = ExactComplex.coerce(other)
-        return _exact(self.re + other.re, self.im + other.im)
+        a, b, d = self._triple
+        c, e, f = other._triple
+        if d == f:
+            return _exact(a + c, b + e, d)
+        return _exact(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is not ExactComplex:
             other = ExactComplex.coerce(other)
-        return _exact(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self):
-        return _exact(-self.re, -self.im)
+        a, b, d = self._triple
+        return _exact(-a, -b, d)
 
     def __mul__(self, other):
         if type(other) is not ExactComplex:
             other = ExactComplex.coerce(other)
-        if not (self.im or other.im):
-            # Real operands (zeta, Moebius, real_only builders): one product.
-            return _exact(self.re * other.re, self.im)
-        return _exact(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._triple
+        c, e, f = other._triple
+        return _exact(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if type(other) is not ExactComplex:
             other = ExactComplex.coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        a, b, d = self._triple
+        c, e, f = other._triple
+        m = c * c + e * e
+        if m == 0:
             raise ZeroDivisionError("division by exact zero")
-        return _exact(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _exact((a * c + b * e) * f, (b * c - a * e) * f, d * m)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -101,41 +121,53 @@ class ExactComplex:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactComplex(other)
-        if not isinstance(other, ExactComplex):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is ExactComplex:
+            return self._triple == other._triple
+        if isinstance(other, int):
+            return self._triple == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._triple == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # a real value equals its real part, so it hashes like it
-        return hash((self.re, self.im)) if self.im else hash(self.re)
+        a, b, d = self._triple
+        return hash(self._triple) if b else hash(Fraction(a, d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._triple != (0, 0, 1)
 
     def conjugate(self) -> "ExactComplex":
-        return _exact(self.re, -self.im)
+        a, b, d = self._triple
+        return _exact(a, -b, d)
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        a, b, d = self._triple
+        return math.hypot(a / d, b / d)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, d = self._triple
+        return complex(a / d, b / d)
 
     def __repr__(self):
         return f"ExactComplex({self.re!s}, {self.im!s})"
 
 
-def _exact(re: Fraction, im: Fraction) -> ExactComplex:
-    """An ExactComplex from parts that are already Fractions.
+_new = object.__new__
+# the slot's own setter: past the immutability guard, and faster than object.__setattr__
+_set_triple = ExactComplex._triple.__set__
 
-    Arithmetic results take this path: it skips the Fraction re-wrap and
-    the immutability guard of the public constructor.
-    """
-    z = object.__new__(ExactComplex)
-    object.__setattr__(z, "re", re)
-    object.__setattr__(z, "im", im)
+
+def _exact(re_num: int, im_num: int, den: int) -> ExactComplex:
+    """The canonical ExactComplex (re_num + im_num i) / den, for den > 0."""
+    if den != 1:
+        g = math.gcd(re_num, im_num, den)
+        if g != 1:
+            re_num //= g
+            im_num //= g
+            den //= g
+    z = _new(ExactComplex)
+    _set_triple(z, (re_num, im_num, den))
     return z
 
 
@@ -178,8 +210,10 @@ def scalar_from_json(pair, mode: str, where: str):
     if not (isinstance(pair, list) and len(pair) == 2):
         raise ValueError(f"{where}: expected an [re, im] pair, got {pair!r}")
     try:
+        if isinstance(pair[0], bool) or isinstance(pair[1], bool):
+            raise TypeError("a boolean is not a number")
         if mode == EXACT:
-            return ExactComplex(Fraction(pair[0]), Fraction(pair[1]))
+            return ExactComplex(pair[0], pair[1])
         value = complex(float(pair[0]), float(pair[1]))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{where}: cannot parse {pair!r} ({exc})") from None

@@ -581,9 +581,10 @@ _FLOAT_NAN = {"window": 4, "mode": "float", "coeffs": {"1": [1.0, 0.0], "3": [fl
         (_FLOAT_NAN, ["analyze", "line-sup"], "coefficient 3: non-finite"),
         (_FLOAT_NAN, ["analyze", "torus-sup"], "coefficient 3: non-finite"),
         ({"window": 4, "coeffs": {"1": [1, 0]}}, ["op", "invert"], "missing field 'mode'"),
+        (dict(_EXACT_ONE, coeffs={"1": [True, False]}), ["op", "invert"], "coefficient 1: cannot parse"),
     ],
     ids=["null-part", "bare-number", "top-level-list", "zero-denominator", "nan-line-sup",
-         "nan-torus-sup", "missing-mode"],
+         "nan-torus-sup", "missing-mode", "boolean-part"],
 )
 def test_malformed_series_file_exits_2(tmp_path, capsys, doc, command, message):
     f = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Scalar laws: ExactComplex arithmetic agrees with its public constructor."""
 
+import math
 import operator
 from fractions import Fraction
 
@@ -13,34 +14,75 @@ from dirichlet_toolkit.scalars import EXACT, FLOAT, coerce
 parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 exact = st.one_of(st.builds(ExactComplex, parts, parts), st.builds(ExactComplex, parts))
 operands = st.one_of(exact, parts, st.integers(min_value=-9, max_value=9))
+big = st.integers(min_value=-(10**40), max_value=10**40)
+big_parts = st.builds(Fraction, big, st.integers(min_value=1, max_value=10**40))
+big_exact = st.builds(ExactComplex, big_parts, big_parts)
 
 
 def assert_canonical(z):
-    """z carries Fraction parts and equals and hashes as the constructor's value."""
+    """z is an integer triple in lowest terms, with Fraction parts, and equals
+    and hashes as the constructor's value."""
     assert type(z) is ExactComplex
+    re_num, im_num, den = z._triple
+    assert type(re_num) is int and type(im_num) is int and type(den) is int
+    assert den > 0 and math.gcd(re_num, im_num, den) == 1
     assert type(z.re) is Fraction and type(z.im) is Fraction
     rebuilt = ExactComplex(z.re, z.im)
     assert z == rebuilt and hash(z) == hash(rebuilt)
-    with pytest.raises(AttributeError):
-        z.re = Fraction(0)
+    for name in ("re", "_triple"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, Fraction(0))
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert z._triple == (re_num, im_num, den)
 
 
-@settings(max_examples=200, deadline=None)
-@given(exact, operands)
-def test_arithmetic_results_match_the_constructor(a, b):
+def pair_inverse(z):
+    """1 / z by the Fraction formula, as an (re, im) pair."""
+    m = z.re * z.re + z.im * z.im
+    return z.re / m, -z.im / m
+
+
+def pair_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def check_arithmetic_law(a, b):
     for op in (operator.add, operator.sub, operator.mul):
         assert_canonical(op(a, b))
     c = ExactComplex.coerce(b)
-    assert a * b == ExactComplex(a.re * c.re - a.im * c.im, a.re * c.im + a.im * c.re)
+    assert a + b == ExactComplex(a.re + c.re, a.im + c.im)
+    assert a - b == ExactComplex(a.re - c.re, a.im - c.im)
+    assert a * b == ExactComplex(*pair_mul((a.re, a.im), (c.re, c.im)))
     assert_canonical(b + a)
     assert_canonical(b * a)
     if b != 0:
         q = a / b
         assert_canonical(q)
+        assert q == ExactComplex(*pair_mul((a.re, a.im), pair_inverse(c)))
         assert q * b == a
+    if a != 0:
+        inv = pair_inverse(a)
+        power = (Fraction(1), Fraction(0))
+        for k in (1, 2, 3):
+            power = pair_mul(power, inv)
+            assert_canonical(a**-k)
+            assert a**-k == ExactComplex(*power)
     assert_canonical(-a)
     assert_canonical(a.conjugate())
     assert a - a == ExactComplex() and hash(a - a) == hash(ExactComplex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact, operands)
+def test_arithmetic_results_match_the_constructor(a, b):
+    check_arithmetic_law(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_exact, st.one_of(big_exact, operands))
+def test_large_parts_obey_the_same_law(a, b):
+    check_arithmetic_law(a, b)
 
 
 def test_float_coercion_goes_through_complex():
