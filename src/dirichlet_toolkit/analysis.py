@@ -197,7 +197,9 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     window, then clamps at 0.  The sup of a prefix changes only at support
     points, and between changes the ratio is monotone in N', so only
     support points and the window itself are candidates.  This is an
-    estimator of the limsup, not the limsup.
+    estimator of the limsup, not the limsup.  Candidates with the same
+    prefix share one sup: each distinct prefix is computed once, so the
+    window, when it is not a support point, reuses the last support point's.
 
     Each prefix sup is the torus sup of its lift at ``auto_grid`` when the
     whole series' lift, in k variables, fits that grid within the torus
@@ -209,8 +211,7 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     k = len(bohr_lift(f, table).variables())
     method = "torus" if auto_grid(k) ** k <= bohr._GRID_BUDGET else "line"
 
-    def prefix_sup(Nprime: int) -> float:
-        prefix = f.truncate(Nprime)
+    def prefix_sup(prefix: TruncatedDirichletSeries) -> float:
         if prefix.is_zero():
             return 0.0
         if method == "torus":
@@ -221,10 +222,14 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     candidates = sorted({n for n in f.support() if n >= 2} | {f.window})
     if 1 in f.coeffs and (not candidates or candidates[0] > 2):
         candidates.insert(0, 2)
+    sups: dict[int, float] = {}  # by prefix length: the prefixes are nested
     best = -math.inf
     arg = candidates[0] if candidates else f.window
     for Nprime in candidates:
-        sup = prefix_sup(Nprime)
+        prefix = f.truncate(Nprime)
+        if len(prefix) not in sups:
+            sups[len(prefix)] = prefix_sup(prefix)
+        sup = sups[len(prefix)]
         if sup <= 0.0:
             continue
         ratio = math.log(sup) / math.log(Nprime)

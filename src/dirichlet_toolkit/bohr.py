@@ -325,7 +325,7 @@ def _grid_values(
             shape = [1] * k
             shape[axis] = g
             arr = arr * np.exp(1j * row[axis] * theta).reshape(shape)
-        vals = vals + arr
+        vals += arr
     return vals
 
 
@@ -383,8 +383,10 @@ def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacked ``eigvals`` on companion matrices built as ``np.roots`` builds
     them finds them all.  Each row's candidates are phase 0 and the angles
     of its roots on the unit circle, in that order, so ties go to the same
-    candidate as in the scalar kernel.  The remaining rows go to
-    ``_line_max_on_circle`` one at a time, with its rescale-and-trim path.
+    candidate as in the scalar kernel.  Of the remaining rows, those with
+    c_0 = 0 drop it and recurse together, since |z q(z)| = |q(z)| on the
+    unit circle; the others go to ``_line_max_on_circle`` one at a time,
+    with its rescale-and-trim path.
     """
     count, n = coeffs.shape
     d = n - 1
@@ -400,7 +402,11 @@ def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a[:, j : j + n] += coeffs[:, j : j + 1] * np.conj(coeffs[:, ::-1])
     a0 = a[:, d].real
     ok = (1e-200 < a0) & (a0 < 1e200) & (np.abs(a[:, 0]) > 1e-12 * a0)
-    for s in np.flatnonzero(~ok):
+    rest = np.flatnonzero(~ok)
+    low = rest[coeffs[rest, 0] == 0]
+    if len(low):
+        values[low], phases[low] = _line_max_rows(coeffs[low, 1:])
+    for s in rest[coeffs[rest, 0] != 0]:
         values[s], phases[s] = _line_max_on_circle(coeffs[s])
     if ok.any():
         c = coeffs[ok]
@@ -428,8 +434,10 @@ def _ascend(
     ``(weights, exps)`` is the lift from ``_phase_arrays``.  Along each axis
     every active row's univariate coefficients come from one product with a
     one-hot (terms, degree + 1) matrix, and ``_line_max_rows`` maximizes
-    them all.  A row retires once a cycle gains at most 1e-13 max(1, value);
-    returns the phases, values and those convergence flags, row by row.
+    them all, rows with a zero constant coefficient included.  A row
+    retires once a cycle gains at most 1e-13 max(1, value); returns the
+    phases, values and those convergence flags, row by row, for
+    ``_polish_rows`` to take as its starts.
     """
     theta = np.array(theta0, dtype=float)
     e = exps.T.astype(float)
@@ -461,8 +469,50 @@ _BACKTRACKS = 30
 _STEP_TOL = 1e-8
 
 
-def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """Saddle-free Newton ascent on F = |p|^2 from ``theta0``.
+def _moduli(weights, exps, theta: np.ndarray) -> np.ndarray:
+    """|p| at each phase vector in the last axis of ``theta``.
+
+    Only elementwise real products and sums along the terms, so each value
+    depends on its own phases alone, never on the batch shape or on its
+    position in the batch: a matrix product or a complex product may round
+    a row differently from the same row alone.
+    """
+    phase = theta[..., :1] * exps[:, 0]
+    for a in range(1, exps.shape[1]):
+        phase = phase + theta[..., a : a + 1] * exps[:, a]
+    cos, sin = np.cos(phase), np.sin(phase)
+    re = (weights.real * cos - weights.imag * sin).sum(-1)
+    im = (weights.real * sin + weights.imag * cos).sum(-1)
+    return np.hypot(re, im)
+
+
+def _newton_rows(w, e, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The saddle-free Newton step of F = |p|^2 at each row of ``theta``.
+
+    ``w`` are the rescaled weights and ``e`` the float exponent rows.
+    Returns the steps of the rows whose Hessian is nonzero, the mask of
+    those rows, and every row's certificate (False where the Hessian is
+    zero, that is where |p| is constant).
+    """
+    ph = w * np.exp(1j * (theta @ e.T))
+    v, dv = ph.sum(-1), 1j * (ph @ e)
+    cv = np.conj(v)
+    grad = 2.0 * np.real(cv[:, None] * dv)
+    d2v = -((e.T * ph[:, None, :]) @ e)
+    hess = 2.0 * np.real(np.conj(dv)[:, :, None] * dv[:, None, :] + cv[:, None, None] * d2v)
+    lam, q = np.linalg.eigh(-hess)
+    floor = 1e-10 * np.abs(lam).max(axis=1)
+    live = floor > 0
+    lam, q, grad, floor = lam[live], q[live], grad[live], floor[live, None]
+    coef = (grad[:, None, :] @ q)[:, 0] / np.maximum(np.abs(lam), floor)
+    certified = np.zeros(len(theta), dtype=bool)
+    certified[live] = (lam.min(axis=1) > floor[:, 0]) & (np.abs(coef).max(axis=1) <= _STEP_TOL)
+    coef = np.where(lam < -floor, np.copysign(np.maximum(np.abs(coef), 1.0), coef), coef)
+    return (q @ coef[:, :, None])[:, :, 0], live, certified
+
+
+def _polish_rows(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Saddle-free Newton ascent on F = |p|^2 from each row of ``theta0``.
 
     Coordinate ascent zigzags slowly along curved ridges; Newton steps with
     the analytic gradient 2 Re(conj(v) dv) and Hessian
@@ -470,10 +520,14 @@ def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]
     step divides the gradient's components along the eigenvectors of -H by
     |eigenvalue| (floored at 1e-10 of the largest), so it climbs along
     every one, and moves at least a unit along each direction of upward
-    curvature, so a start on a saddle leaves it.  Backtracking keeps only
-    steps that do not lower |p|; the search stops once a step gains at most
-    1e-16 relative.  The flag certifies the end point as a strict local
-    maximum: a Newton step of at most 1e-8 and a negative definite Hessian.
+    curvature, so a start on a saddle leaves it.  Backtracking keeps the
+    first of the step's ``_BACKTRACKS`` halvings that does not lower |p|;
+    a row retires when none does, when its Hessian is zero (|p| constant),
+    or once a step gains at most 1e-16 relative.  All active rows take one
+    stacked ``eigh`` per step and evaluate all their halvings in one
+    product.  The flags certify each end point as a strict local maximum:
+    a Newton step of at most 1e-8 and a negative definite Hessian.
+    Returns the phases, values (as ``_moduli`` gives them) and flags.
     """
     e = exps.astype(float)
     theta = np.array(theta0, dtype=float)
@@ -483,42 +537,25 @@ def _polish(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, float, bool]
     # subnormal weights end up no smaller than about 4e-16.
     e_max = math.frexp(float(np.abs(weights).max()))[1]
     w = weights * math.ldexp(1.0, min(-e_max, 1023))
+    scales = np.ldexp(1.0, -np.arange(_BACKTRACKS))[:, None]
 
-    def modulus(th):
-        return float(abs(weights @ np.exp(1j * (e @ th))))
-
-    def newton(th):
-        """The step at th, or None where the Hessian is zero, and the certificate."""
-        ph = w * np.exp(1j * (e @ th))
-        v, dv = ph.sum(), 1j * (ph @ e)
-        grad = 2.0 * np.real(np.conj(v) * dv)
-        hess = 2.0 * np.real(np.outer(np.conj(dv), dv) - np.conj(v) * ((e.T * ph) @ e))
-        lam, q = np.linalg.eigh(-hess)
-        floor = 1e-10 * np.abs(lam).max()
-        if not floor:  # |p| is constant here
-            return None, False
-        coef = (q.T @ grad) / np.maximum(np.abs(lam), floor)
-        certified = bool(lam.min() > floor and np.abs(coef).max() <= _STEP_TOL)
-        up = lam < -floor
-        coef[up] = np.copysign(np.maximum(np.abs(coef[up]), 1.0), coef[up])
-        return q @ coef, certified
-
-    value = modulus(theta)
+    value = _moduli(weights, e, theta)
+    rows = np.arange(len(theta))
     for _ in range(_NEWTON_STEPS):
-        step, _ = newton(theta)
-        if step is None:
+        step, live, _ = _newton_rows(w, e, theta[rows])
+        rows = rows[live]
+        trials = theta[rows, None, :] + scales * step[:, None, :]
+        new = _moduli(weights, e, trials)
+        up = new >= value[rows, None]
+        moved = up.any(axis=1)
+        first = np.argmax(up[moved], axis=1)
+        rows, new = rows[moved], new[moved, first]
+        gain = new - value[rows]
+        theta[rows], value[rows] = trials[moved, first], new
+        rows = rows[gain > 1e-16 * new]
+        if not len(rows):
             break
-        for halvings in range(_BACKTRACKS):
-            trial = theta + math.ldexp(1.0, -halvings) * step
-            new = modulus(trial)
-            if new >= value:
-                break
-        else:
-            break
-        theta, gain, value = trial, new - value, new
-        if gain <= 1e-16 * value:
-            break
-    return theta, value, newton(theta)[1]
+    return theta, value, _newton_rows(w, e, theta)[2]
 
 
 # Most phase-grid points that torus_sup and cauchy_coefficient evaluate.
@@ -552,11 +589,12 @@ def torus_sup(
     Deterministic phase grid, then seven starts: the best grid point and
     ``_RESTARTS`` seeded random phases.  The starts ascend together by
     cyclic exact coordinate maximization, each for at most ``_ASCENT_CYCLES``
-    cycles and until a cycle gains at most 1e-13 max(1, value); each then
-    gets a Newton polish.  Ties on the grid break toward the first index in
-    row-major phase order, and ties between starts toward the grid start,
-    so results are reproducible.  ``converged`` is the polish's certificate
-    at the winning point.
+    cycles and until a cycle gains at most 1e-13 max(1, value); then all
+    seven take the Newton polish together, one stacked ``eigh`` per step.
+    Ties on the grid break toward the first index in row-major phase order,
+    and ties between starts toward the grid start, so results are
+    reproducible.  ``converged`` is the polish's certificate at the winning
+    point.
     """
     if not 0 < radius <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
@@ -577,12 +615,12 @@ def torus_sup(
     starts = [theta_grid] + [rng.uniform(0.0, 2.0 * np.pi, size=k) for _ in range(_RESTARTS)]
 
     ascended = _ascend(weights, exps, np.array(starts), _ASCENT_CYCLES)[0]
-    polished = [_polish(weights, exps, th) for th in ascended]
-    # max keeps the first of equal values, so the grid start wins ties
-    best_theta, best_val, conv = max(polished, key=lambda res: res[1])
-    phases = {v: float(best_theta[a] % (2 * np.pi)) for a, v in enumerate(variables)}
+    theta, values, certified = _polish_rows(weights, exps, ascended)
+    # argmax keeps the first of equal values, so the grid start wins ties
+    best = int(np.argmax(values))
+    phases = {v: float(theta[best, a] % (2 * np.pi)) for a, v in enumerate(variables)}
     point = {v: radius * complex(np.exp(1j * t)) for v, t in phases.items()}
-    return TorusSupResult(float(best_val), phases, point, radius, conv)
+    return TorusSupResult(float(values[best]), phases, point, radius, bool(certified[best]))
 
 
 # auto_grid's point budget and its range of grid sizes per variable.

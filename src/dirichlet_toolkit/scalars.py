@@ -49,6 +49,11 @@ class ExactComplex:
     def __delattr__(self, name):
         raise AttributeError("ExactComplex is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # sets the slot past the immutability guard
+        return ExactComplex, (self.re, self.im)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._triple[0], self._triple[2])

@@ -19,12 +19,15 @@ from dirichlet_toolkit import (
     seminorm_profile,
     sigma_u_plus_estimate,
 )
+from dirichlet_toolkit import analysis
 from dirichlet_toolkit.analysis import (
     SeminormProfile,
+    SigmaUEstimate,
     _golden_max,
     _line_values,
     perron_exact_truncated,
 )
+from dirichlet_toolkit.bohr import auto_grid, bohr_lift, torus_sup
 from dirichlet_toolkit.errors import NumericFailureError
 from dirichlet_toolkit.scalars import FLOAT
 
@@ -110,6 +113,32 @@ def test_sigma_u_clamps_at_zero(table):
     est = sigma_u_plus_estimate(f, table)
     assert est.value == 0.0
     assert est.unclamped < 0.0
+
+
+def test_sigma_u_computes_each_distinct_prefix_once(table, monkeypatch):
+    # Six candidates 2, 3, 6, 9, 35, 40 but five distinct prefixes: 40 is
+    # not a support point, so its prefix is the one at 35.  Every sup is
+    # below 1, so the ratio is largest at the window.
+    coeffs = {1: 0.2, 2: 0.1 - 0.05j, 3: -0.1j, 6: 0.05, 9: 0.02 + 0.1j, 35: -0.1}
+    f = TruncatedDirichletSeries(40, coeffs, FLOAT)
+    prefixes = []
+
+    def counted(p, *args, **kwargs):
+        prefixes.append(frozenset(p.terms))
+        return torus_sup(p, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "torus_sup", counted)
+    est = sigma_u_plus_estimate(f, table)
+    assert len(prefixes) == len(set(prefixes)) == 5
+    # the estimate of one torus sup per candidate, shared prefixes included
+    ratios = []
+    for n in (2, 3, 6, 9, 35, 40):
+        p = bohr_lift(f.truncate(n), table)
+        sup = torus_sup(p, 1.0, grid_per_var=auto_grid(len(p.variables()))).value
+        ratios.append((math.log(sup) / math.log(n), n))
+    best, arg = max(ratios)
+    assert arg == 40
+    assert est == SigmaUEstimate(max(best, 0.0), best, arg, "torus")
 
 
 # -- seminorms ------------------------------------------------------------

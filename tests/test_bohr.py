@@ -31,8 +31,9 @@ from dirichlet_toolkit.bohr import (
     _ascend,
     _line_max_on_circle,
     _line_max_rows,
+    _moduli,
     _phase_arrays,
-    _polish,
+    _polish_rows,
     auto_grid,
 )
 from dirichlet_toolkit.builders import random_series
@@ -208,6 +209,8 @@ def _circle_rows(draw):
 @example(np.array([[3 - 4j], [0j]]))
 @example(np.array([[0j, 1, 1], [1e-300, 1, 1], [1, 1, 1e-300], [1e-120, 1e-120, 1e-120], [1, 2j, -1]]))
 @example(np.array([[0.5, 0.5j, 0, 0], [0j, 0, 0, 0], [1e110, 1, 1, 1e110], [1, -1, 1, -1]]))
+@example(np.array([[0j, 0, 1, 2j], [0j, 0, 0, 3], [0j, 0, 0, 0], [0j, 0, 1e-300, 1], [0j, 1, 1, 1]]))
+@example(np.array([[0j, 0, 1], [0j, 0, 0]]))
 def test_line_max_rows_matches_the_scalar_kernel(rows):
     values, phases = _line_max_rows(rows)
     for c, value, t in zip(rows, values, phases):
@@ -237,13 +240,15 @@ def test_ascend_rows_match_one_row_ascents():
 
 @st.composite
 def _phase_lift(draw):
-    """Random (weights, exps, theta0) of up to five terms in up to three phases."""
+    """Random (weights, exps, theta0): up to five terms in up to three
+    phases, and one to seven starts in the rows of theta0."""
     k = draw(st.integers(1, 3))
     m = draw(st.integers(1, 5))
     row = st.lists(st.integers(0, 3), min_size=k, max_size=k)
     exps = np.array(draw(st.lists(row, min_size=m, max_size=m)), dtype=np.int64)
     weights = np.array(draw(st.lists(_circle_coeff, min_size=m, max_size=m)), dtype=np.complex128)
-    theta0 = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k, max_size=k)))
+    start = st.lists(st.floats(0.0, 2 * np.pi), min_size=k, max_size=k)
+    theta0 = np.array(draw(st.lists(start, min_size=1, max_size=7)))
     return weights, exps, theta0
 
 
@@ -251,10 +256,34 @@ def _phase_lift(draw):
 @given(_phase_lift())
 def test_polish_never_lowers_its_start(lift):
     weights, exps, theta0 = lift
-    start = abs(weights @ np.exp(1j * (exps @ theta0)))
-    theta, value, _ = _polish(weights, exps, theta0)
-    assert value >= start
-    assert value == abs(weights @ np.exp(1j * (exps @ theta)))
+    start = _moduli(weights, exps, theta0)
+    theta, value, _ = _polish_rows(weights, exps, theta0)
+    assert (value >= start).all()
+    assert (value == _moduli(weights, exps, theta)).all()
+
+
+def test_polish_rows_match_one_row_polishes():
+    coeffs = {1: 1.0, 3: -0.3 + 0.5j, 4: -0.2 - 0.8j, 5: -0.4 + 0.3j, 12: -0.3 - 1j}
+    p = bohr_lift(TruncatedDirichletSeries(20, coeffs, FLOAT), PrimeTable(20))
+    weights, exps = _phase_arrays(list(p.terms.items()), p.variables(), 1.0)
+    starts = np.random.default_rng(3).uniform(0.0, 2 * np.pi, size=(7, 3))
+    theta, values, certified = _polish_rows(weights, exps, starts)
+    assert certified.any()
+    for s, start in enumerate(starts):
+        one_theta, one_value, one_certified = _polish_rows(weights, exps, start[None])
+        np.testing.assert_allclose(theta[s], one_theta[0], rtol=1e-12)
+        assert values[s] == pytest.approx(one_value[0], rel=1e-12)
+        assert certified[s] == one_certified[0]
+
+
+def test_polish_rows_on_a_constant_modulus():
+    # |(2 - 1j) z1^2 z2| is constant on the torus: no row can climb, and a
+    # zero Hessian must not divide by zero (pytest errors on the warning)
+    weights, exps = np.array([2 - 1j]), np.array([[2, 1]])
+    starts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 5.0]])
+    theta, values, certified = _polish_rows(weights, exps, starts)
+    np.testing.assert_allclose(values, abs(2 - 1j), rtol=1e-15)
+    assert not certified.any()
 
 
 _TRIANGLE = SparseMultiPoly(2, {(): 1.0, ((1, 1),): 1.0, ((2, 1),): 1.0}, FLOAT)
@@ -272,9 +301,9 @@ def test_polish_leaves_a_saddle_for_the_maximum():
     # |1 + e^{ia} + e^{ib}|^2 has zero gradient at (pi, 0) and Hessian
     # [[-4, 2], [2, 0]] there: a saddle, not a maximum.
     weights, exps = _phase_arrays(list(_TRIANGLE.terms.items()), [1, 2], 1.0)
-    theta, value, certified = _polish(weights, exps, np.array([np.pi, 0.0]))
-    assert value == pytest.approx(3.0, abs=1e-12)
-    assert certified
+    theta, value, certified = _polish_rows(weights, exps, np.array([[np.pi, 0.0]]))
+    assert value[0] == pytest.approx(3.0, abs=1e-12)
+    assert certified[0]
 
 
 def test_torus_sup_opposed_coefficients():

@@ -1,14 +1,16 @@
 """Scalar laws: ExactComplex arithmetic agrees with its public constructor."""
 
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_toolkit import ExactComplex
+from dirichlet_toolkit import ExactComplex, TruncatedDirichletSeries
 from dirichlet_toolkit.scalars import EXACT, FLOAT, coerce
 
 parts = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -97,3 +99,16 @@ def test_a_real_value_hashes_like_its_real_part():
     half = Fraction(1, 2)
     assert ExactComplex(half) == half and hash(ExactComplex(half)) == hash(half)
     assert len({ExactComplex(3), 3, ExactComplex(half), half}) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(exact, big_exact))
+def test_copy_deepcopy_and_pickle_round_trip(z):
+    for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+        assert_canonical(twin)
+        assert twin == z and hash(twin) == hash(z) and twin._triple == z._triple
+
+
+def test_deepcopy_of_an_exact_series_equals_it():
+    f = TruncatedDirichletSeries(12, {1: 1, 4: ExactComplex(Fraction(1, 3), -2), 9: Fraction(5, 7)}, EXACT)
+    assert copy.deepcopy(f) == f
