@@ -291,12 +291,14 @@ def _phase_arrays(terms, variables, radius) -> tuple[np.ndarray, np.ndarray]:
 
     weights[m] = c_m * prod r^{e_i} and exps[m] is the integer exponent row
     of term m over ``variables``, so the value at phases theta is
-    weights @ exp(i * exps @ theta).
+    weights @ exp(i * exps @ theta).  The terms go in sorted monomial order,
+    so equal polynomials give bit-identical arrays whatever the order their
+    terms were inserted in.
     """
     axis_of = {v: a for a, v in enumerate(variables)}
     weights = np.empty(len(terms), dtype=np.complex128)
     exps = np.zeros((len(terms), len(variables)), dtype=np.int64)
-    for m, (mono, c) in enumerate(terms):
+    for m, (mono, c) in enumerate(sorted(terms)):
         coef = complex(c)
         for i, e in mono:
             coef *= radius**e
@@ -329,64 +331,27 @@ def _grid_values(
     return vals
 
 
-def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
-    """Exact max of |sum_j coeffs[j] z^j| over |z| = 1.
+def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact max of |sum_j coeffs[s, j] z^j| over |z| = 1, and a phase that
+    attains it, for each row s of the (S, d + 1) array ``coeffs``.
 
     Degrees 0 and 1 are closed forms: |c0| + |c1| at the phase
     arg c0 - arg c1, where a zero coefficient leaves phase 0.  Above that,
-    the squared modulus is a trigonometric polynomial; its critical phases
-    are roots of a degree-2d algebraic polynomial on the unit circle.  When
-    the modulus is constant (a monomial) that polynomial is zero, has no
-    roots, and phase 0 is the only candidate.
-    """
-    if len(coeffs) <= 2:
-        c0, c1 = coeffs[0], (coeffs[1] if len(coeffs) == 2 else 0)
-        # math.atan2 is cmath.phase without its OverflowError on an underflowing angle
-        t = math.atan2(c0.imag, c0.real) - math.atan2(c1.imag, c1.real) if c0 and c1 else 0.0
-        return float(abs(c0) + abs(c1)), t
-    d = len(coeffs) - 1
-    # Autocorrelation A_m = sum_j coeffs[j] * conj(coeffs[j-m]), m = -d..d.
-    a = np.convolve(coeffs, np.conj(coeffs[::-1]))
-    # F(t) = sum_m A_m e^{imt};  z^d F'(t) = sum_m i m A_m z^{m+d}.
-    m = np.arange(-d, d + 1)
-    k = 0
-    # |A_m| <= A_0 = sum_j |coeffs[j]|^2: with A_0 of moderate size and
-    # |A_d| > 1e-12 A_0, no end entry of z^d F' is negligible.
-    if not (1e-200 < a[d].real < 1e200 and abs(a[0]) > 1e-12 * a[d].real):
-        # Rescale by a power of two (exact) so the products neither under- nor
-        # overflow, then drop the end entries at or below 1e-12 max|z^d F'|
-        # (symmetric in m): their roots lie near 0 and infinity, off the unit
-        # circle, and can overflow the companion matrix.  After the rescale
-        # A_0 >= 1/4, so entries at or below 1e-200 move F by nothing a
-        # double can hold, and dropping them keeps subnormal leading
-        # entries out of the companion matrix too.
-        e = math.frexp(float(np.abs(coeffs).max()))[1]
-        c = coeffs * math.ldexp(1.0, min(-e, 1023))
-        a = np.convolve(c, np.conj(c[::-1]))
-        mag = np.abs(m * a)
-        while k < d and mag[k] <= max(1e-12 * mag.max(), 1e-200):
-            k += 1
-    deriv = 1j * m * a
-    roots = np.roots(deriv[k : 2 * d + 1 - k][::-1])
-    t = np.concatenate(([0.0], np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])))
-    vals = np.abs(np.exp(1j * np.outer(t, np.arange(d + 1))) @ coeffs)
-    best = int(np.argmax(vals))
-    return float(vals[best]), float(t[best])
-
-
-def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_line_max_on_circle`` of each row of the (S, d + 1) array ``coeffs``.
-
-    Degrees 0 and 1 take the closed form on every row at once.  Above that,
-    a row that passes the scalar kernel's moderate-scale test has nonzero
-    end entries in z^d F', so every such row has 2d critical roots: one
-    stacked ``eigvals`` on companion matrices built as ``np.roots`` builds
-    them finds them all.  Each row's candidates are phase 0 and the angles
-    of its roots on the unit circle, in that order, so ties go to the same
-    candidate as in the scalar kernel.  Of the remaining rows, those with
-    c_0 = 0 drop it and recurse together, since |z q(z)| = |q(z)| on the
-    unit circle; the others go to ``_line_max_on_circle`` one at a time,
-    with its rescale-and-trim path.
+    each row is scaled by a power of two (exact) to a largest modulus near
+    1, so its products neither under- nor overflow.  The squared modulus
+    F(t) = sum_m A_m e^{imt} is a trigonometric polynomial, and the
+    critical phases are the roots of z^d F'(t) on the unit circle.  A row's
+    trim k counts the leading entries of z^d F', up to d, at or below
+    max(1e-12 max|z^d F'|, 1e-200), and drops them and their mirror entries
+    (|A_{-m}| = |A_m|).  Their roots lie near 0 and infinity, off the
+    circle, and could overflow the companion matrix; with A_0 near 1 after
+    the rescale, entries at 1e-200 move F by nothing a double holds.  The
+    trimmed polynomial never leads with a zero.  The rows of each trim share
+    one stacked ``eigvals`` on companion matrices of degree 2(d - k), built
+    as ``np.roots`` builds them.  A row with k = d (zero, or a single
+    nonzero coefficient) has a constant modulus and an empty companion
+    matrix.  Each row's candidates are phase 0 and the angles of its roots
+    on the unit circle, in that order, so ties go to phase 0.
     """
     count, n = coeffs.shape
     d = n - 1
@@ -395,33 +360,32 @@ def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c1 = coeffs[:, 1] if d == 1 else np.zeros_like(c0)
         t = np.arctan2(c0.imag, c0.real) - np.arctan2(c1.imag, c1.real)
         return np.abs(c0) + np.abs(c1), np.where((c0 != 0) & (c1 != 0), t, 0.0)
-    values, phases = np.empty(count), np.empty(count)
-    # Autocorrelation A_m, m = -d..d, of every row, as in the scalar kernel.
+    e = np.frexp(np.abs(coeffs).max(axis=1))[1]
+    c = coeffs * np.ldexp(1.0, np.minimum(-e, 1023))[:, None]
+    # Autocorrelation A_m = sum_j c_j conj(c_{j-m}), m = -d..d, of every row.
     a = np.zeros((count, 2 * d + 1), dtype=np.complex128)
+    flipped = np.conj(c[:, ::-1])
     for j in range(n):
-        a[:, j : j + n] += coeffs[:, j : j + 1] * np.conj(coeffs[:, ::-1])
-    a0 = a[:, d].real
-    ok = (1e-200 < a0) & (a0 < 1e200) & (np.abs(a[:, 0]) > 1e-12 * a0)
-    rest = np.flatnonzero(~ok)
-    low = rest[coeffs[rest, 0] == 0]
-    if len(low):
-        values[low], phases[low] = _line_max_rows(coeffs[low, 1:])
-    for s in rest[coeffs[rest, 0] != 0]:
-        values[s], phases[s] = _line_max_on_circle(coeffs[s])
-    if ok.any():
-        c = coeffs[ok]
-        # z^d F'(t) = sum_m i m A_m z^{m+d}, highest power first
-        p = (1j * np.arange(-d, d + 1) * a[ok])[:, ::-1]
-        companion = np.zeros((len(c), 2 * d, 2 * d), dtype=np.complex128)
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        companion[:, np.arange(1, 2 * d), np.arange(2 * d - 1)] = 1.0
+        a[:, j : j + n] += c[:, j : j + 1] * flipped
+    # z^d F'(t) = sum_m i m A_m z^{m+d}, highest power first
+    p = (1j * np.arange(-d, d + 1) * a)[:, ::-1]
+    mag = np.abs(p[:, :d])
+    small = mag <= np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-200)
+    trims = np.logical_and.accumulate(small, axis=1).sum(axis=1)
+    values, phases = np.empty(count), np.empty(count)
+    for k in set(trims.tolist()):
+        rows = trims == k
+        q, deg = p[rows, k : 2 * d + 1 - k], 2 * (d - k)
+        companion = np.zeros((len(q), deg, deg), dtype=np.complex128)
+        companion[:] = np.eye(deg, k=-1)
+        companion[:, :1] = -q[:, None, 1:] / q[:, None, :1]
         roots = np.linalg.eigvals(companion)
-        t = np.concatenate((np.zeros((len(c), 1)), np.angle(roots)), axis=1)
-        vals = np.abs(np.exp(1j * (t[:, :, None] * np.arange(n))) @ c[:, :, None])[:, :, 0]
+        t = np.concatenate((np.zeros((len(q), 1)), np.angle(roots)), axis=1)
+        vals = np.abs(np.exp(1j * (t[:, :, None] * np.arange(n))) @ coeffs[rows, :, None])[:, :, 0]
         vals[:, 1:][np.abs(np.abs(roots) - 1.0) >= 1e-6] = -np.inf
         best = np.argmax(vals, axis=1)
-        picked = np.arange(len(c))
-        values[ok], phases[ok] = vals[picked, best], t[picked, best]
+        picked = np.arange(len(q))
+        values[rows], phases[rows] = vals[picked, best], t[picked, best]
     return values, phases
 
 
@@ -433,9 +397,9 @@ def _ascend(
 
     ``(weights, exps)`` is the lift from ``_phase_arrays``.  Along each axis
     every active row's univariate coefficients come from one product with a
-    one-hot (terms, degree + 1) matrix, and ``_line_max_rows`` maximizes
-    them all, rows with a zero constant coefficient included.  A row
-    retires once a cycle gains at most 1e-13 max(1, value); returns the
+    one-hot (terms, degree + 1) matrix, and one ``_line_max_rows`` call
+    maximizes them all, whatever their scale or zero end coefficients.  A
+    row retires once a cycle gains at most 1e-13 max(1, value); returns the
     phases, values and those convergence flags, row by row, for
     ``_polish_rows`` to take as its starts.
     """
@@ -656,8 +620,12 @@ def cauchy_coefficient(
     Exact (up to rounding) when grid_per_var exceeds every per-variable
     degree of the underlying polynomial; too small a grid aliases silently,
     so the caller supplies the degree bound.  The grid lies on the torus of
-    the given radius in every variable.
+    the given radius in every variable; a radius outside (0, 1] raises
+    ``ValueError``, even for a constant lift.
     """
+    radius = float(radius)
+    if not 0 < radius <= 1:
+        raise ValueError(f"radius must lie in (0, 1], got {radius}")
     pf = bohr_lift(f, table).to_float()
     target = table.factor(n).as_dict()
     variables = sorted(set(pf.variables()) | set(target))
@@ -665,9 +633,6 @@ def cauchy_coefficient(
     _check_grid(grid_per_var, k)
     if k == 0:
         return complex(pf.terms.get((), 0j))
-    radius = float(radius)
-    if not 0 < radius <= 1:
-        raise ValueError(f"radius must lie in (0, 1], got {radius}")
     vals = _grid_values(list(pf.terms.items()), variables, radius, grid_per_var)
     g = grid_per_var
     theta = 2.0 * np.pi * np.arange(g) / g

@@ -29,7 +29,6 @@ from dirichlet_toolkit.bohr import (
     _ASCENT_CYCLES,
     PolydiscPoint,
     _ascend,
-    _line_max_on_circle,
     _line_max_rows,
     _moduli,
     _phase_arrays,
@@ -162,10 +161,11 @@ _circle_coeff = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_circle_coeff, min_size=1, max_size=5), st.integers(0, 4), st.integers(-300, 0))
+@example([1e300, 0j, 0, 1e300j], 0, 0)  # products of unscaled coefficients overflow
 def test_line_max_on_circle_is_the_circle_max(coeffs, index, exponent):
     c = np.array(coeffs, dtype=np.complex128)
     c[index % len(c)] *= 10.0**exponent
-    value, t = _line_max_on_circle(c)
+    (value,), (t,) = _line_max_rows(c[None])
     total = np.abs(c).sum()
     phases = np.exp(2j * np.pi * np.arange(4096) / 4096)
     assert value >= np.abs(np.polyval(c[::-1], phases)).max() - 1e-9 * total
@@ -179,9 +179,41 @@ def test_line_max_on_circle_is_the_circle_max(coeffs, index, exponent):
     "coeffs, expected", [([3.0 - 4.0j], 5.0), ([0.0, 0.0, 2.0j], 2.0)], ids=["degree-0", "z^2"]
 )
 def test_line_max_on_circle_constant_modulus(coeffs, expected):
-    value, t = _line_max_on_circle(np.array(coeffs, dtype=np.complex128))
+    (value,), (t,) = _line_max_rows(np.array([coeffs], dtype=np.complex128))
     assert value == pytest.approx(expected, rel=1e-15)
     assert t == 0.0
+
+
+def _line_max_on_circle(coeffs: np.ndarray) -> tuple[float, float]:
+    """Scalar oracle for ``_line_max_rows``: max of |sum_j coeffs[j] z^j|
+    over |z| = 1 on one coefficient vector, by ``np.roots``.
+
+    Degrees 0 and 1 are closed forms.  Above that, the critical phases of
+    the squared modulus F(t) = sum_m A_m e^{imt} are the roots on the unit
+    circle of z^d F'(t).  A vector that is not of moderate scale is first
+    scaled by a power of two, and the end entries of z^d F' at or below
+    1e-12 of its largest (or 1e-200) are dropped.
+    """
+    if len(coeffs) <= 2:
+        c0, c1 = coeffs[0], (coeffs[1] if len(coeffs) == 2 else 0)
+        t = math.atan2(c0.imag, c0.real) - math.atan2(c1.imag, c1.real) if c0 and c1 else 0.0
+        return float(abs(c0) + abs(c1)), t
+    d = len(coeffs) - 1
+    a = np.convolve(coeffs, np.conj(coeffs[::-1]))
+    m = np.arange(-d, d + 1)
+    k = 0
+    if not (1e-200 < a[d].real < 1e200 and abs(a[0]) > 1e-12 * a[d].real):
+        e = math.frexp(float(np.abs(coeffs).max()))[1]
+        c = coeffs * math.ldexp(1.0, min(-e, 1023))
+        a = np.convolve(c, np.conj(c[::-1]))
+        mag = np.abs(m * a)
+        while k < d and mag[k] <= max(1e-12 * mag.max(), 1e-200):
+            k += 1
+    roots = np.roots((1j * m * a)[k : 2 * d + 1 - k][::-1])
+    t = np.concatenate(([0.0], np.angle(roots[np.abs(np.abs(roots) - 1.0) < 1e-6])))
+    vals = np.abs(np.exp(1j * np.outer(t, np.arange(d + 1))) @ coeffs)
+    best = int(np.argmax(vals))
+    return float(vals[best]), float(t[best])
 
 
 @st.composite
@@ -189,8 +221,7 @@ def _circle_rows(draw):
     """One to six coefficient rows of a common degree 0..4.
 
     A row may have c_0 = 0, and one of its coefficients is scaled by
-    10^-300..10^0, so some rows fail the moderate-scale test of the
-    batched kernel and take the scalar one.
+    10^-300..10^0, so the rows of one call mix scales and trims.
     """
     n = draw(st.integers(1, 5))
     rows = np.array(
@@ -211,6 +242,8 @@ def _circle_rows(draw):
 @example(np.array([[0.5, 0.5j, 0, 0], [0j, 0, 0, 0], [1e110, 1, 1, 1e110], [1, -1, 1, -1]]))
 @example(np.array([[0j, 0, 1, 2j], [0j, 0, 0, 3], [0j, 0, 0, 0], [0j, 0, 1e-300, 1], [0j, 1, 1, 1]]))
 @example(np.array([[0j, 0, 1], [0j, 0, 0]]))
+# trims k = 0, k = 1 (c_0 = 0), and k = d twice: only c_d nonzero, all zero
+@example(np.array([[1, 2j, -1, 0.5], [0j, 1, 1j, 2], [0j, 0, 0, 3], [0j, 0, 0, 0]]))
 def test_line_max_rows_matches_the_scalar_kernel(rows):
     values, phases = _line_max_rows(rows)
     for c, value, t in zip(rows, values, phases):
@@ -380,6 +413,26 @@ def test_torus_sup_deterministic():
     assert a.value == b.value and a.phases == b.phases
 
 
+@st.composite
+def _term_orders(draw):
+    """Two to six terms in x_1..x_3, and the same terms in a shuffled order."""
+    row = st.tuples(*[st.integers(0, 3)] * 3)
+    exps = draw(st.lists(row, min_size=2, max_size=6, unique=True))
+    coeffs = draw(st.lists(_circle_coeff, min_size=len(exps), max_size=len(exps)))
+    terms = [(tuple(enumerate(e, 1)), c) for e, c in zip(exps, coeffs)]
+    return terms, draw(st.permutations(terms))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_term_orders(), st.sampled_from([0.3, 0.7, 1.0]))
+def test_torus_sup_ignores_term_order(orders, radius):
+    # equal polynomials give bit-identical values, phases and certificates
+    terms, shuffled = orders
+    a = torus_sup(SparseMultiPoly(3, dict(terms), FLOAT), radius)
+    b = torus_sup(SparseMultiPoly(3, dict(shuffled), FLOAT), radius)
+    assert a == b
+
+
 def test_auto_grid():
     assert auto_grid(1) == 32
     assert auto_grid(4) ** 4 <= 1 << 18
@@ -433,6 +486,14 @@ def test_cauchy_aliases_when_grid_too_small(table):
     f = TruncatedDirichletSeries(8, {1: 1.0, 4: 1.0}, FLOAT)
     got = cauchy_coefficient(f, 1, table, grid_per_var=2, radius=1.0)
     assert abs(got - 1.0) > 0.5
+
+
+@pytest.mark.parametrize("radius", [5.0, math.nan])
+def test_cauchy_rejects_a_radius_outside_the_unit_interval(table, radius):
+    # the lift of a constant series is constant, and its radius is still checked
+    f = TruncatedDirichletSeries(4, {1: 2.0}, FLOAT)
+    with pytest.raises(ValueError, match=r"radius must lie in \(0, 1\]"):
+        cauchy_coefficient(f, 1, table, grid_per_var=4, radius=radius)
 
 
 def test_poly_json_round_trip(tmp_path):

@@ -405,6 +405,17 @@ def test_analyze_perron_and_cauchy(tmp_path):
     assert read_json(out2)["value"][0] == pytest.approx(3.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("r", ["5", "nan", "0"])
+def test_analyze_cauchy_rejects_a_radius_outside_the_unit_interval(tmp_path, capsys, r):
+    # the lift of the unit series is constant, and its radius is still checked
+    f = tmp_path / "unit.json"
+    run(["build", "unit", "--out", str(f)])
+    out = tmp_path / "c.json"
+    assert run(["analyze", "cauchy", str(f), "--r", r, "--grid", "4", "--out", str(out)]) == 2
+    assert "radius must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--R", "0"), ("--R", "-5"), ("--R", "inf"), ("--R", "1e308"),
