@@ -1,7 +1,7 @@
 """Two ways to read a coefficient back off a Dirichlet polynomial.
 
 Cauchy: a discrete Fourier average over a torus grid recovers the lifted
-polynomial's coefficients exactly once the grid outruns the degree.
+polynomial's coefficients exactly; the grid is derived from the degree.
 Perron: a truncated vertical-line integral recovers a_n with an explicit
 error bound that decays like 1/R in the integration half-length.
 
@@ -25,7 +25,7 @@ print(f"series support: {f.support()}\n")
 
 print("== Cauchy / DFT recovery ==\n")
 for n in (5, 12, 7):
-    got = cauchy_coefficient(f, n, table, grid_per_var=4, radius=0.5)
+    got = cauchy_coefficient(f, n, table, radius=0.5)
     true = complex(f.coefficient(n))
     print(f"a_{n:<3d} recovered {got:.12f}   true {true}   |err| {abs(got - true):.2e}")
 

@@ -44,21 +44,22 @@ def _canonical(exponents) -> Monomial:
 
 
 class SparseMultiPoly:
-    """Sparse polynomial in variables x_1..x_M, no stored zero terms."""
+    """Sparse polynomial in the variables x_1, x_2, ..., no stored zero terms.
 
-    __slots__ = ("nvars", "mode", "terms")
+    The terms fix everything: the variables are those that appear in them
+    (``variables()``), so equal polynomials print and serialize alike.
+    """
 
-    def __init__(self, nvars: int, terms=None, mode: str = EXACT):
+    __slots__ = ("mode", "terms")
+
+    def __init__(self, terms=None, mode: str = EXACT):
         scalars.check_mode(mode)
         clean = {}
         for mono, c in (terms or {}).items():
             mono = _canonical(mono)
-            if mono and mono[-1][0] > nvars:
-                raise ValueError(f"monomial {mono} uses a variable beyond nvars={nvars}")
             c = scalars.coerce(c, mode)
             if c:
                 clean[mono] = clean[mono] + c if mono in clean else c
-        self.nvars = int(nvars)
         self.mode = mode
         self.terms = {m: c for m, c in clean.items() if c}
 
@@ -92,11 +93,10 @@ class SparseMultiPoly:
             return "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in mono) or "1"
 
         body = " + ".join(f"({c!r})*{fmt(m)}" for m, c in sorted(self.terms.items()))
-        return f"SparseMultiPoly(nvars={self.nvars}, {body or '0'})"
+        return f"SparseMultiPoly({body or '0'})"
 
     def mul(self, other: "SparseMultiPoly"):
         scalars.require_same_mode(self.mode, other.mode)
-        nvars = max(self.nvars, other.nvars)
         out: dict = {}
         for ma, a in self.terms.items():
             da = dict(ma)
@@ -107,7 +107,7 @@ class SparseMultiPoly:
                 mono = _canonical(m)
                 prod = a * b
                 out[mono] = out[mono] + prod if mono in out else prod
-        return SparseMultiPoly(nvars, out, self.mode)
+        return SparseMultiPoly(out, self.mode)
 
     __mul__ = mul
 
@@ -118,7 +118,7 @@ class SparseMultiPoly:
         for mono, c in self.terms.items():
             deg = sum(e for _, e in mono)
             out[mono] = c * r**deg
-        return SparseMultiPoly(self.nvars, out, self.mode)
+        return SparseMultiPoly(out, self.mode)
 
     def restrict(self, index_set) -> "SparseMultiPoly":
         """Keep terms whose variables all lie in index_set (others -> 0)."""
@@ -128,7 +128,7 @@ class SparseMultiPoly:
             for m, c in self.terms.items()
             if all(i in index_set for i, _ in m)
         }
-        return SparseMultiPoly(self.nvars, out, self.mode)
+        return SparseMultiPoly(out, self.mode)
 
     def permute_variables(self, sigma) -> "SparseMultiPoly":
         """Relabel x_i -> x_{sigma(i)} in every monomial."""
@@ -136,21 +136,17 @@ class SparseMultiPoly:
         for mono, c in self.terms.items():
             new = _canonical({sigma(i): e for i, e in mono})
             out[new] = c
-        nvars = max([self.nvars] + [i for m in out for i, _ in m])
-        return SparseMultiPoly(nvars, out, self.mode)
+        return SparseMultiPoly(out, self.mode)
 
     def to_float(self) -> "SparseMultiPoly":
         if self.mode == FLOAT:
             return self
-        return SparseMultiPoly(
-            self.nvars, {m: complex(c) for m, c in self.terms.items()}, FLOAT
-        )
+        return SparseMultiPoly({m: complex(c) for m, c in self.terms.items()}, FLOAT)
 
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
-            "nvars": self.nvars,
             "mode": self.mode,
             "terms": [
                 {"exp": {str(i): e for i, e in mono}, "c": scalars.scalar_to_json(c)}
@@ -160,9 +156,8 @@ class SparseMultiPoly:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        mode, nvars, items = scalars.json_fields(
-            doc, "polynomial", mode=str, nvars=int, terms=list
-        )
+        # other fields, such as "provenance" or an old "nvars", are ignored
+        mode, items = scalars.json_fields(doc, "polynomial", mode=str, terms=list)
         mode = scalars.check_mode(mode)
         terms = {}
         for k, item in enumerate(items):
@@ -171,7 +166,7 @@ class SparseMultiPoly:
                 raise ValueError(f"term {k}: exponents must be integers, got {exp!r}")
             mono = _canonical({int(i): e for i, e in exp.items()})
             terms[mono] = scalars.scalar_from_json(c, mode, f"term {k}")
-        return cls(nvars, terms, mode)
+        return cls(terms, mode)
 
     def save(self, path, provenance=None) -> None:
         scalars._write_json(self.to_json_dict(), path, provenance)
@@ -205,11 +200,10 @@ def bohr_lift(f: TruncatedDirichletSeries, table: PrimeTable) -> SparseMultiPoly
         raise TableTooSmallError(
             f"table bound {table.bound} below series window {f.window}"
         )
-    nvars = table.pi(f.window) if f.window >= 2 else 0
     terms = {}
     for n, c in f.coeffs.items():
         terms[table.factor(n).entries] = c
-    return SparseMultiPoly(nvars, terms, f.mode)
+    return SparseMultiPoly(terms, f.mode)
 
 
 def bohr_drop(
@@ -313,7 +307,10 @@ def _grid_values(
     radius: float,
     grid_per_var: int,
 ) -> np.ndarray:
-    """Dense evaluation on the phase grid (grid_per_var,)*k, row-major."""
+    """Dense evaluation on the phase grid (grid_per_var,)*k, row-major.
+
+    Exponents may be negative, as in a lift divided by a monomial.
+    """
     k = len(variables)
     g = grid_per_var
     theta = 2.0 * np.pi * np.arange(g) / g
@@ -612,16 +609,17 @@ def cauchy_coefficient(
     f: TruncatedDirichletSeries,
     n: int,
     table: PrimeTable,
-    grid_per_var: int,
     radius: float = 0.5,
 ) -> complex:
     """Recover a_n by a discrete Fourier average over a uniform torus grid.
 
-    Exact (up to rounding) when grid_per_var exceeds every per-variable
-    degree of the underlying polynomial; too small a grid aliases silently,
-    so the caller supplies the degree bound.  The grid lies on the torus of
-    the given radius in every variable; a radius outside (0, 1] raises
-    ``ValueError``, even for a constant lift.
+    a_n is the constant term of the lift divided by the monomial of n, on
+    the torus of the given radius in every variable.  That quotient's
+    exponents lie in (-g, g) for g = 1 + the largest exponent of the lift
+    and of n, so its average over g points per variable aliases nothing and
+    is exact up to rounding.  A grid of more than 2^22 points raises
+    ``BudgetExceededError``; a radius outside (0, 1] raises ``ValueError``,
+    even for a constant lift.
     """
     radius = float(radius)
     if not 0 < radius <= 1:
@@ -629,25 +627,16 @@ def cauchy_coefficient(
     pf = bohr_lift(f, table).to_float()
     target = table.factor(n).as_dict()
     variables = sorted(set(pf.variables()) | set(target))
-    k = len(variables)
-    _check_grid(grid_per_var, k)
-    if k == 0:
-        return complex(pf.terms.get((), 0j))
-    vals = _grid_values(list(pf.terms.items()), variables, radius, grid_per_var)
-    g = grid_per_var
-    theta = 2.0 * np.pi * np.arange(g) / g
-    # Multiply by conj of the target monomial phase and divide by its radius
-    # weight, then average: exact DFT orthogonality kills all other terms.
-    for axis, v in enumerate(variables):
-        a = target.get(v, 0)
-        if a:
-            shape = [1] * k
-            shape[axis] = g
-            vals = vals * np.exp(-1j * a * theta).reshape(shape)
-    scale = 1.0
-    for v in variables:
-        scale *= radius ** target.get(v, 0)
-    got = complex(vals.mean() / scale)
+    g = 1 + max([*pf.degree_per_variable().values(), *target.values()], default=0)
+    _check_grid(g, len(variables))
+    shifted = [
+        (tuple((v, dict(mono).get(v, 0) - target.get(v, 0)) for v in variables), c)
+        for mono, c in pf.terms.items()
+    ]
+    try:
+        got = complex(_grid_values(shifted, variables, radius, g).mean())
+    except OverflowError:  # a power r^(e - a) with e < a, at a tiny radius
+        raise NumericFailureError(f"radius {radius} too small to recover a_{n}") from None
     # finite coefficients can still overflow the grid values or their mean
     if not cmath.isfinite(got):
         raise NumericFailureError(f"nonfinite Cauchy average {got} for a_{n}")

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, bohr, suites
+from . import analysis, bohr, scalars, suites
 from .builders import random_series
 from .errors import NumericFailureError, ToolkitError, WindowOverflowError
 from .group import (
@@ -36,12 +36,10 @@ _MAX_TABLE = 10_000_000
 
 
 def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=1, default=str)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        scalars._write_json(doc, out)
     else:
-        print(text)
+        print(json.dumps(doc, indent=1))
 
 
 def _table_for(window: int, top_index: int = 0) -> PrimeTable:
@@ -232,7 +230,7 @@ def cmd_analyze(args, argv) -> int:
         tolerance = analysis.perron_error_bound(f, args.n, args.kappa, args.R)
         witness = res.as_record()["witness"]
     elif args.kind == "cauchy":
-        got = bohr.cauchy_coefficient(f, args.n, table, args.grid, args.r)
+        got = bohr.cauchy_coefficient(f, args.n, table, args.r)
         value, tolerance, witness = [got.real, got.imag], 1e-10, {"n": args.n}
     else:
         raise ValueError(f"unknown analysis kind {args.kind!r}")
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("input", help="series JSON file")
     a.add_argument("--r", type=float, default=1.0)
     a.add_argument("--r-grid", dest="r_grid", default="0.1:0.9:17")
-    a.add_argument("--grid", type=int, default=8)
+    a.add_argument("--grid", type=int, default=8, help="torus-sup grid points per variable")
     a.add_argument("--sigma", type=float, default=0.0)
     a.add_argument("--T", type=float, default=100.0)
     a.add_argument("--samples", type=int, default=20_000)

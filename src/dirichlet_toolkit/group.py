@@ -462,7 +462,5 @@ def invariant_orbit_sums(
                     )
                 orbit.add(img)
             seen.update(orbit)
-            sums.append(
-                SparseMultiPoly(M, {m: 1 for m in orbit}, EXACT)
-            )
+            sums.append(SparseMultiPoly({m: 1 for m in orbit}, EXACT))
     return sums

@@ -242,8 +242,10 @@ def json_fields(doc, where: str, **types) -> tuple:
     return tuple(values)
 
 
-def _write_json(doc: dict, path, provenance=None) -> None:
-    """Write a series or polynomial document, adding the provenance field if given."""
+def _write_json(doc, path, provenance=None) -> None:
+    """Write a JSON document, one space of indent and a final newline; a
+    series or polynomial document gets the provenance field if given.
+    """
     if provenance is not None:
         doc["provenance"] = provenance
     with open(path, "w") as fh:

@@ -36,7 +36,7 @@ from dirichlet_toolkit.bohr import (
     auto_grid,
 )
 from dirichlet_toolkit.builders import random_series
-from dirichlet_toolkit.errors import BudgetExceededError, WindowOverflowError
+from dirichlet_toolkit.errors import BudgetExceededError, NumericFailureError, WindowOverflowError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
 
 
@@ -82,7 +82,7 @@ def test_lift_intertwines_dilation(table):
 
 
 def test_drop_overflow(table):
-    p = SparseMultiPoly(2, {((1, 20),): ExactComplex(1)})  # 2^20 > table bound
+    p = SparseMultiPoly({((1, 20),): ExactComplex(1)})  # 2^20 > table bound
     with pytest.raises(WindowOverflowError):
         bohr_drop(p, table)
 
@@ -92,8 +92,8 @@ def test_drop_overflow(table):
 
 def test_poly_mul_matches_dense_oracle():
     # Multiply via dicts of exponent tuples, compare against nested loops.
-    p = SparseMultiPoly(2, {((1, 1),): 2.0, ((2, 1),): 1.0 + 1j}, FLOAT)
-    q = SparseMultiPoly(2, {(): 1.0, ((1, 1), (2, 2)): -0.5}, FLOAT)
+    p = SparseMultiPoly({((1, 1),): 2.0, ((2, 1),): 1.0 + 1j}, FLOAT)
+    q = SparseMultiPoly({(): 1.0, ((1, 1), (2, 2)): -0.5}, FLOAT)
     prod = p.mul(q)
     expected = {}
     for m1, c1 in p.terms.items():
@@ -109,7 +109,7 @@ def test_poly_mul_matches_dense_oracle():
 
 
 def test_permute_variables_and_restrict():
-    p = SparseMultiPoly(3, {((1, 2),): 1.0, ((2, 1), (3, 1)): 2.0}, FLOAT)
+    p = SparseMultiPoly({((1, 2),): 1.0, ((2, 1), (3, 1)): 2.0}, FLOAT)
     from dirichlet_toolkit import FiniteSupportPermutation
 
     sigma = FiniteSupportPermutation.from_cycles("(1 2)")
@@ -135,10 +135,10 @@ def test_eval_matches_partial_sum(table):
 
 def test_polydisc_point_check():
     with pytest.raises(ValueError):
-        poly_eval(SparseMultiPoly(1, {((1, 1),): 1.0}, FLOAT), PolydiscPoint({1: 2.0 + 0j}))
+        poly_eval(SparseMultiPoly({((1, 1),): 1.0}, FLOAT), PolydiscPoint({1: 2.0 + 0j}))
     # allow_outside lets the evaluation through
     pt = PolydiscPoint({1: 2.0 + 0j}, allow_outside=True)
-    assert poly_eval(SparseMultiPoly(1, {((1, 1),): 1.0}, FLOAT), pt) == 2.0 + 0j
+    assert poly_eval(SparseMultiPoly({((1, 1),): 1.0}, FLOAT), pt) == 2.0 + 0j
 
 
 # -- torus sup ------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_polish_rows_on_a_constant_modulus():
     assert not certified.any()
 
 
-_TRIANGLE = SparseMultiPoly(2, {(): 1.0, ((1, 1),): 1.0, ((2, 1),): 1.0}, FLOAT)
+_TRIANGLE = SparseMultiPoly({(): 1.0, ((1, 1),): 1.0, ((2, 1),): 1.0}, FLOAT)
 
 
 def test_torus_sup_triangle_fixture():
@@ -342,7 +342,7 @@ def test_polish_leaves_a_saddle_for_the_maximum():
 def test_torus_sup_opposed_coefficients():
     # |z1 - z2| has sup 2 on the whole circle z1 = -z2 of maxima, where the
     # Hessian is singular: the value is exact but not certified strict.
-    p = SparseMultiPoly(2, {((1, 1),): 1.0, ((2, 1),): -1.0}, FLOAT)
+    p = SparseMultiPoly({((1, 1),): 1.0, ((2, 1),): -1.0}, FLOAT)
     res = torus_sup(p, 1.0, grid_per_var=16, seed=0)
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert not res.converged
@@ -358,7 +358,7 @@ def test_import_leaves_scipy_out():
 
 def test_torus_sup_single_variable_exact():
     # sup |2 + z^2| = 3, needs the exact line maximization not the grid
-    p = SparseMultiPoly(1, {(): 2.0, ((1, 2),): 1.0}, FLOAT)
+    p = SparseMultiPoly({(): 2.0, ((1, 2),): 1.0}, FLOAT)
     res = torus_sup(p, 1.0, grid_per_var=7, seed=1)
     assert res.value == pytest.approx(3.0, abs=1e-12)
 
@@ -390,24 +390,24 @@ def test_torus_sup_dominates_dense_grid(table):
 
 
 def test_torus_sup_reported_point_attains_value():
-    p = SparseMultiPoly(2, {((1, 1),): 1.0 + 2.0j, ((2, 1),): -1.0, (): 0.5j}, FLOAT)
+    p = SparseMultiPoly({((1, 1),): 1.0 + 2.0j, ((2, 1),): -1.0, (): 0.5j}, FLOAT)
     res = torus_sup(p, 1.0, grid_per_var=16, seed=0)
     assert abs(poly_eval(p, res.point)) == pytest.approx(res.value, rel=1e-12)
 
 
 def test_torus_sup_radius_scaling():
-    p = SparseMultiPoly(1, {((1, 1),): 1.0}, FLOAT)
+    p = SparseMultiPoly({((1, 1),): 1.0}, FLOAT)
     assert torus_sup(p, 0.25, grid_per_var=8).value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_torus_sup_budget():
-    p = SparseMultiPoly(8, {tuple((i, 1) for i in range(1, 9)): 1.0}, FLOAT)
+    p = SparseMultiPoly({tuple((i, 1) for i in range(1, 9)): 1.0}, FLOAT)
     with pytest.raises(BudgetExceededError):
         torus_sup(p, 1.0, grid_per_var=32)
 
 
 def test_torus_sup_deterministic():
-    p = SparseMultiPoly(2, {((1, 1),): 1.0 + 1j, ((2, 2),): 2.0 - 1j}, FLOAT)
+    p = SparseMultiPoly({((1, 1),): 1.0 + 1j, ((2, 2),): 2.0 - 1j}, FLOAT)
     a = torus_sup(p, 1.0, grid_per_var=12, seed=5)
     b = torus_sup(p, 1.0, grid_per_var=12, seed=5)
     assert a.value == b.value and a.phases == b.phases
@@ -428,8 +428,8 @@ def _term_orders(draw):
 def test_torus_sup_ignores_term_order(orders, radius):
     # equal polynomials give bit-identical values, phases and certificates
     terms, shuffled = orders
-    a = torus_sup(SparseMultiPoly(3, dict(terms), FLOAT), radius)
-    b = torus_sup(SparseMultiPoly(3, dict(shuffled), FLOAT), radius)
+    a = torus_sup(SparseMultiPoly(dict(terms), FLOAT), radius)
+    b = torus_sup(SparseMultiPoly(dict(shuffled), FLOAT), radius)
     assert a == b
 
 
@@ -444,21 +444,20 @@ def test_auto_grid():
 
 def test_cauchy_recovers_known_coefficient(table):
     f = TruncatedDirichletSeries(20, {12: 7.0, 5: -2.0 + 1j}, FLOAT)
-    got = cauchy_coefficient(f, 12, table, grid_per_var=4, radius=0.5)
+    got = cauchy_coefficient(f, 12, table, radius=0.5)
     assert got == pytest.approx(7.0, abs=1e-10)
-    got = cauchy_coefficient(f, 5, table, grid_per_var=4, radius=0.5)
+    got = cauchy_coefficient(f, 5, table, radius=0.5)
     assert got == pytest.approx(-2.0 + 1j, abs=1e-10)
     # absent coefficient recovers zero
-    assert cauchy_coefficient(f, 7, table, grid_per_var=4, radius=0.5) == pytest.approx(
-        0.0, abs=1e-10
-    )
+    assert cauchy_coefficient(f, 7, table, radius=0.5) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cauchy_matches_dft_orthogonality_oracle(table):
-    # Direct DFT double sum, written independently of the implementation.
+    # Direct DFT double sum, written independently of the implementation, at
+    # the grid the code derives: 1 + the largest exponent (x1^3 from 8).
     f = TruncatedDirichletSeries(12, {2: 1.0 + 0.5j, 6: -2.0, 8: 3.0j}, FLOAT)
     n = 6
-    g = 5
+    g = 4
     r = 0.7
     total = 0j
     for j1 in range(g):
@@ -476,16 +475,41 @@ def test_cauchy_matches_dft_orthogonality_oracle(table):
             )
             total += val * np.exp(-2j * np.pi * (j1 + j2) / g)
     oracle = total / (g * g) / (r * r)  # 6 = 2 * 3 -> x1 x2
-    got = cauchy_coefficient(f, n, table, grid_per_var=g, radius=r)
+    got = cauchy_coefficient(f, n, table, radius=r)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx(-2.0, abs=1e-10)
 
 
-def test_cauchy_aliases_when_grid_too_small(table):
-    # grid 2 cannot separate x1^0 from x1^2: documents the caller contract.
+def test_cauchy_grid_outruns_the_degree(table):
+    # x1^2 (from 4) needs 3 points per variable: 2 would alias it onto 1
     f = TruncatedDirichletSeries(8, {1: 1.0, 4: 1.0}, FLOAT)
-    got = cauchy_coefficient(f, 1, table, grid_per_var=2, radius=1.0)
-    assert abs(got - 1.0) > 0.5
+    assert cauchy_coefficient(f, 1, table, radius=1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cauchy_at_a_tiny_radius_is_a_numeric_failure(table):
+    # a_4 divides the constant term by r^2, which passes a double at r = 1e-200
+    f = TruncatedDirichletSeries(4, {1: 2.0, 4: 1.0}, FLOAT)
+    with pytest.raises(NumericFailureError, match="radius 1e-200 too small to recover a_4"):
+        cauchy_coefficient(f, 4, table, radius=1e-200)
+
+
+@st.composite
+def _coefficient_orders(draw):
+    """One to six coefficients of n <= 30, and the same ones in a shuffled order."""
+    ns = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True))
+    coeffs = draw(st.lists(_circle_coeff, min_size=len(ns), max_size=len(ns)))
+    items = list(zip(ns, coeffs))
+    return items, draw(st.permutations(items))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_coefficient_orders(), st.integers(1, 30), st.sampled_from([0.3, 0.7, 1.0]))
+def test_cauchy_ignores_term_order(table, orders, n, radius):
+    # equal series give bit-identical coefficients, whatever their insertion order
+    items, shuffled = orders
+    a = cauchy_coefficient(TruncatedDirichletSeries(30, dict(items), FLOAT), n, table, radius)
+    b = cauchy_coefficient(TruncatedDirichletSeries(30, dict(shuffled), FLOAT), n, table, radius)
+    assert a == b
 
 
 @pytest.mark.parametrize("radius", [5.0, math.nan])
@@ -493,14 +517,28 @@ def test_cauchy_rejects_a_radius_outside_the_unit_interval(table, radius):
     # the lift of a constant series is constant, and its radius is still checked
     f = TruncatedDirichletSeries(4, {1: 2.0}, FLOAT)
     with pytest.raises(ValueError, match=r"radius must lie in \(0, 1\]"):
-        cauchy_coefficient(f, 1, table, grid_per_var=4, radius=radius)
+        cauchy_coefficient(f, 1, table, radius=radius)
 
 
 def test_poly_json_round_trip(tmp_path):
-    p = SparseMultiPoly(
-        3, {((1, 2), (3, 1)): ExactComplex(Fraction(1, 3)), (): ExactComplex(0, 2)}
-    )
+    p = SparseMultiPoly({((1, 2), (3, 1)): ExactComplex(Fraction(1, 3)), (): ExactComplex(0, 2)})
     path = tmp_path / "poly.json"
     p.save(path)
     q = SparseMultiPoly.load(path)
-    assert q.terms == p.terms and q.nvars == p.nvars and q.mode == p.mode
+    assert q.terms == p.terms and q.mode == p.mode
+
+
+def test_equal_polys_print_and_serialize_alike():
+    # the same polynomial reached by other paths: shuffled terms, x5 in and
+    # out again, and a product with 1
+    terms = {((1, 2),): ExactComplex(3), ((2, 1),): ExactComplex(0, 1)}
+    p = SparseMultiPoly(terms)
+    swap = {1: 5, 5: 1}
+    others = [
+        SparseMultiPoly(dict(reversed(list(terms.items())))),
+        p.permute_variables(lambda i: swap.get(i, i)).permute_variables(lambda i: swap.get(i, i)),
+        p.mul(SparseMultiPoly({(): ExactComplex(1)})),
+    ]
+    for q in others:
+        assert q == p
+        assert repr(q) == repr(p) and q.to_json_dict() == p.to_json_dict()

@@ -405,6 +405,29 @@ def test_analyze_perron_and_cauchy(tmp_path):
     assert read_json(out2)["value"][0] == pytest.approx(3.0, abs=1e-10)
 
 
+def test_analyze_cauchy_derives_a_grid_that_does_not_alias(tmp_path):
+    # 256 = 2^8 needs 9 points per variable; the torus-sup default of 8
+    # would fold x1^8 onto the constant term and give 2
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": 256, "mode": "float", "coeffs": {"1": [1.0, 0.0], "256": [1.0, 0.0]}}))
+    out = tmp_path / "c.json"
+    assert run(["analyze", "cauchy", str(f), "--n", "1", "--r", "1", "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["value"][0] == pytest.approx(1.0, abs=1e-12)
+    assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+
+
+def test_analyze_cauchy_grid_beyond_the_budget_exits_3(tmp_path, capsys):
+    # x1^8 and six more variables: the exact grid 9^7 passes 2^22 points
+    f = tmp_path / "f.json"
+    coeffs = {"256": [1.0, 0.0], str(3 * 5 * 7 * 11 * 13 * 17): [1.0, 0.0]}
+    f.write_text(json.dumps({"window": 255255, "mode": "float", "coeffs": coeffs}))
+    out = tmp_path / "c.json"
+    assert run(["analyze", "cauchy", str(f), "--n", "256", "--out", str(out)]) == 3
+    assert "grid 9^7 exceeds the point budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r", ["5", "nan", "0"])
 def test_analyze_cauchy_rejects_a_radius_outside_the_unit_interval(tmp_path, capsys, r):
     # the lift of the unit series is constant, and its radius is still checked
