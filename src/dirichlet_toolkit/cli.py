@@ -201,7 +201,17 @@ def cmd_analyze(args, argv) -> int:
         raise NumericFailureError(f"{args.input}: the coefficients' l1 sum overflows a float")
     # line-sup and perron read the coefficients as they are and need no sieve
     table = None if args.kind in ("line-sup", "perron") else _table_for(f.window)
-    params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+    # the record names only the flags its kind reads
+    reads = {
+        "torus-sup": ("r", "grid", "seed"),
+        "line-sup": ("sigma", "T", "samples"),
+        "sigma-u": (),
+        "seminorm-profile": ("r_grid", "seed"),
+        "perron": ("n", "kappa", "R", "steps"),
+        "cauchy": ("n", "r"),
+    }
+    params = {"kind": args.kind, "input": args.input}
+    params.update((k, getattr(args, k)) for k in reads[args.kind])
     if args.kind == "torus-sup":
         p = bohr.bohr_lift(f, table)
         res = bohr.torus_sup(p, args.r, grid_per_var=args.grid, seed=args.seed)

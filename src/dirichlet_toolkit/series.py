@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from . import scalars
 from .errors import NotInvertibleError, NumericFailureError
 from .primes import PrimeTable
-from .scalars import EXACT, FLOAT, ExactComplex
+from .scalars import EXACT, FLOAT, ExactComplex, _exact
 
 # Largest modulus of a float a_1 that invert treats as zero.
 _A1_TOLERANCE = 1e-12
@@ -123,13 +123,22 @@ class TruncatedDirichletSeries:
         The right support is sorted once; for each d of the left operand, in
         its insertion order, the pass over it stops at the first e > w // d,
         so only products inside the window are formed: O(N log N) pairs on
-        dense inputs instead of |a| |b|.  Each c_n receives at most one term
-        per d, in the order of the left operand, whatever the order of the
-        right one.
+        dense inputs instead of |a| |b|.  Exact products and sums run on the
+        coefficients' integer triples, and each c_n is reduced once, when it
+        is complete.  Float results keep their summation order: c_n receives
+        at most one term per d, in the order of the left operand, whatever
+        the order of the right one.
         """
         scalars.require_same_mode(self.mode, other.mode)
         w = min(self.window, other.window)
         right = sorted(other.coeffs.items())
+        if self.mode == EXACT:
+            right = [(e, b._triple) for e, b in right]
+            acc: dict = {}
+            for d, a in self.coeffs.items():
+                _add_products(acc, [], d, right, w // d, a._triple)
+            out = {n: _exact(r, i, q) for n, (r, i, q) in acc.items() if r or i}
+            return TruncatedDirichletSeries(w, out, self.mode)
         out: dict = {}
         for d, a in self.coeffs.items():
             limit = w // d
@@ -156,9 +165,11 @@ class TruncatedDirichletSeries:
         so far, so every contribution to b_n has arrived before b_n is read.
         The work is one product per (nonzero b_m, tail index d <= N // m)
         pair, set by the multiplicative closure of the support and not by
-        the window.  Exact results do not depend on the order of the sum;
-        float results may differ from another order in the last bits.  A
-        float a_1 of modulus at most ``_A1_TOLERANCE`` counts as zero.
+        the window.  Exact accumulators hold unreduced integer triples, and
+        each b_n is reduced once, when it is read; exact results do not
+        depend on the order of the sum.  Float results keep their summation
+        order, and may differ from another order in the last bits.  A float
+        a_1 of modulus at most ``_A1_TOLERANCE`` counts as zero.
         """
         a1 = self.coeffs.get(1)
         # hypot, unlike abs of a complex, overflows to inf instead of raising
@@ -169,6 +180,8 @@ class TruncatedDirichletSeries:
             raise NumericFailureError(f"1/a_1 = {inv_a1} is not a usable float for a_1 = {a1}")
         tail = sorted(self.coeffs.items())[1:]  # a_1 is present and sorts first
         w = self.window
+        if self.mode == EXACT:
+            return TruncatedDirichletSeries(w, _invert_exact(inv_a1, tail, w), EXACT)
         b = {}
         acc = {}
         heap = [1]
@@ -267,3 +280,63 @@ class TruncatedDirichletSeries:
     @classmethod
     def load(cls, path):
         return cls.from_json_dict(scalars._read_json(path))
+
+
+# -- exact kernels --------------------------------------------------------
+#
+# They work on ExactComplex triples (re_num, im_num, den).  An output
+# coefficient is summed unreduced and reduced once, by scalars._exact.
+
+
+def _add_products(acc: dict, fresh: list, base: int, row: list, limit: int, x: tuple) -> None:
+    """Add x * y_e into acc[base * e] for each (e, y_e) of ``row`` with e <= limit.
+
+    ``row`` is sorted by e and holds triples; so do ``x`` and the values of
+    ``acc``.  Equal denominators add their numerators; others meet over
+    their lcm.  Each index that enters ``acc`` is appended to ``fresh``.
+    """
+    xr, xi, xd = x
+    for e, (yr, yi, yd) in row:
+        if e > limit:
+            break
+        n = base * e
+        pr = xr * yr - xi * yi
+        pi = xr * yi + xi * yr
+        pd = xd * yd
+        t = acc.get(n)
+        if t is None:
+            acc[n] = (pr, pi, pd)
+            fresh.append(n)
+            continue
+        r, i, q = t
+        if q == pd:
+            acc[n] = (r + pr, i + pi, q)
+        else:
+            g = math.gcd(q, pd)
+            u = pd // g
+            v = q // g
+            acc[n] = (r * u + pr * v, i * u + pi * v, q * u)
+
+
+def _invert_exact(inv_a1: ExactComplex, tail: list, w: int) -> dict:
+    """The coefficients of invert's divisor push, on triples: b_m is reduced
+    once, as -(1/a_1) times its accumulator, when m leaves the heap."""
+    tail = [(d, ad._triple) for d, ad in tail]
+    ir, ii, idn = inv_a1._triple
+    b = {}
+    acc: dict = {}
+    heap = [1]
+    bm = inv_a1
+    while heap:
+        m = heappop(heap)
+        if m != 1:
+            r, i, q = acc.pop(m)
+            if not (r or i):
+                continue
+            bm = _exact(ii * i - ir * r, -(ir * i + ii * r), idn * q)
+        b[m] = bm
+        fresh: list = []
+        _add_products(acc, fresh, m, tail, w // m, bm._triple)
+        for n in fresh:
+            heappush(heap, n)
+    return b

@@ -417,6 +417,17 @@ def test_analyze_cauchy_derives_a_grid_that_does_not_alias(tmp_path):
     assert out.read_text() == json.dumps(doc, indent=1) + "\n"
 
 
+def test_analyze_records_only_the_flags_its_kind_reads(tmp_path):
+    # cauchy derives its grid and never reads --grid, --sigma or --T
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "5", "3", "--window", "10", "--out", str(f)])
+    out = tmp_path / "c.json"
+    assert run(["analyze", "cauchy", str(f), "--n", "5", "--grid", "4", "--out", str(out)]) == 0
+    params = read_json(out)["params"]
+    assert not {"grid", "sigma", "T"} & set(params)
+    assert params == {"kind": "cauchy", "input": str(f), "n": 5, "r": 1.0}
+
+
 def test_analyze_cauchy_grid_beyond_the_budget_exits_3(tmp_path, capsys):
     # x1^8 and six more variables: the exact grid 9^7 passes 2^22 points
     f = tmp_path / "f.json"

@@ -6,6 +6,7 @@ code with the divisor recursion.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,12 +21,9 @@ from dirichlet_toolkit.scalars import EXACT, FLOAT
 WINDOW = 48
 
 
-def series_strategy(window=WINDOW):
-    coeff = st.builds(
-        ExactComplex,
-        st.fractions(min_value=-5, max_value=5, max_denominator=4),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4),
-    )
+def series_strategy(window=WINDOW, max_denominator=4):
+    part = st.fractions(min_value=-5, max_value=5, max_denominator=max_denominator)
+    coeff = st.builds(ExactComplex, part, part)
     return st.dictionaries(
         st.integers(min_value=1, max_value=window), coeff, max_size=10
     ).map(lambda d: TruncatedDirichletSeries(window, d, EXACT))
@@ -58,10 +56,50 @@ def brute_inverse(a, window):
     return TruncatedDirichletSeries(window, b, EXACT)
 
 
+def assert_canonical_coeffs(f):
+    """Every stored coefficient is a nonzero triple in lowest terms."""
+    for c in f.coeffs.values():
+        re_num, im_num, den = c._triple
+        assert den > 0 and math.gcd(re_num, im_num, den) == 1
+        assert re_num or im_num
+
+
+def check_mul(f, g):
+    h = f * g
+    assert h == brute_convolution(f, g, WINDOW)
+    assert_canonical_coeffs(h)
+
+
+def check_inverse(f):
+    coeffs = dict(f.coeffs)
+    coeffs[1] = ExactComplex(2, 1)
+    u = TruncatedDirichletSeries(WINDOW, coeffs, EXACT)
+    inv = u.invert()
+    assert inv == brute_inverse(u, WINDOW)
+    assert_canonical_coeffs(inv)
+    prod = u * inv
+    assert prod == TruncatedDirichletSeries.unit(WINDOW)
+    assert_canonical_coeffs(prod)
+
+
 @settings(max_examples=60, deadline=None)
 @given(series_strategy(), series_strategy())
+# the two products at n = 2 are 2/6 and -1/3, over unequal denominators, and cancel
+@example(
+    TruncatedDirichletSeries(WINDOW, {1: Fraction(1, 2), 2: Fraction(-1, 3)}, EXACT),
+    TruncatedDirichletSeries(WINDOW, {1: 1, 2: Fraction(2, 3)}, EXACT),
+)
 def test_mul_matches_brute_convolution(f, g):
-    assert f * g == brute_convolution(f, g, WINDOW)
+    check_mul(f, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(series_strategy(max_denominator=10**12), series_strategy(max_denominator=10**12))
+def test_mul_matches_brute_convolution_large_denominators(f, g):
+    check_mul(f, g)
+    # with a_1 in both operands, each n of either support gets a_n b_1 and a_1 b_n
+    one = TruncatedDirichletSeries.unit(WINDOW)
+    check_mul(f + one, g + one)
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,13 +114,22 @@ def test_ring_laws(f, g, h):
 
 @settings(max_examples=30, deadline=None)
 @given(series_strategy())
+# with a_1 = 2 + i and a_6 = 2 a_2 a_3 / a_1, the terms of b_6, over 75 and 150, cancel
+@example(
+    TruncatedDirichletSeries(
+        WINDOW,
+        {2: Fraction(1, 2), 3: Fraction(2, 3), 6: ExactComplex(Fraction(4, 15), Fraction(-2, 15))},
+        EXACT,
+    )
+)
 def test_inverse_matches_triangular_solve(f):
-    coeffs = dict(f.coeffs)
-    coeffs[1] = ExactComplex(2, 1)
-    u = TruncatedDirichletSeries(WINDOW, coeffs, EXACT)
-    inv = u.invert()
-    assert inv == brute_inverse(u, WINDOW)
-    assert u * inv == TruncatedDirichletSeries.unit(WINDOW)
+    check_inverse(f)
+
+
+@settings(max_examples=20, deadline=None)
+@given(series_strategy(max_denominator=10**12))
+def test_inverse_matches_triangular_solve_large_denominators(f):
+    check_inverse(f)
 
 
 def mobius(n):
