@@ -6,7 +6,6 @@ estimation and coefficient recovery.
 from .analysis import (
     convexity_check,
     line_sup,
-    partial_sum,
     perron_error_bound,
     perron_recover,
     seminorm_Pr,
@@ -14,13 +13,10 @@ from .analysis import (
     sigma_u_plus_estimate,
 )
 from .bohr import (
-    PolydiscPoint,
     SparseMultiPoly,
     bohr_drop,
     bohr_lift,
     cauchy_coefficient,
-    eval_c,
-    poly_eval,
     torus_sup,
 )
 from .group import (
@@ -49,7 +45,6 @@ __all__ = [
     "Factorization",
     "FiniteSupportPermutation",
     "PermutationGroup",
-    "PolydiscPoint",
     "PrimeTable",
     "RulePermutation",
     "SparseMultiPoly",
@@ -59,18 +54,15 @@ __all__ = [
     "bohr_lift",
     "cauchy_coefficient",
     "convexity_check",
-    "eval_c",
     "group_average",
     "hat_apply",
     "infinite_index_cycle",
     "invariant_orbit_sums",
     "is_invariant",
     "line_sup",
-    "partial_sum",
     "perron_error_bound",
     "perron_recover",
     "phi_restrict",
-    "poly_eval",
     "project_invariant",
     "seminorm_Pr",
     "seminorm_profile",

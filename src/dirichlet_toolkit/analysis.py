@@ -1,8 +1,8 @@
 """Numerical function theory for truncated Dirichlet series.
 
-Partial sums on the half-plane, vertical-line sup estimation, the clamped
-abscissa-of-uniform-convergence surrogate, the dilation seminorms P_r with
-a log-convexity diagnostic, and Perron-type coefficient recovery.
+Vertical-line sup estimation, the clamped abscissa-of-uniform-convergence
+surrogate, the dilation seminorms P_r with a log-convexity diagnostic, and
+Perron-type coefficient recovery.
 """
 
 from __future__ import annotations
@@ -48,15 +48,6 @@ def _line_values(freqs: np.ndarray, weights: np.ndarray, ts: np.ndarray) -> np.n
     shift = np.exp(1j * np.outer(dt * B * j[: -(-n // B)], freqs))
     # (blocks, N) @ (N, B) is C-contiguous, so the reshape does not copy
     return ((shift * weights) @ base.T).reshape(-1)[:n]
-
-
-def partial_sum(f: TruncatedDirichletSeries, s: complex) -> complex:
-    """Evaluate sum a_n n^{-s} over the window via exp(-s log n)."""
-    s = complex(s)
-    total = 0j
-    for n, c in f.coeffs.items():
-        total += complex(c) * complex(np.exp(-s * math.log(n)))
-    return total
 
 
 def _golden_max(fn, lo: list[float], hi: list[float]) -> list[tuple[float, float]]:

@@ -3,15 +3,15 @@
 The lift sends n^{-s} with n = prod p_i^{e_i} to the monomial
 prod x_i^{e_i}.  On truncated series it is an algebra isomorphism onto
 polynomials supported on monomials of integers within the window.  The
-module also houses polydisc evaluation, torus-sup estimation and
-Cauchy/DFT coefficient recovery.
+module also houses torus-sup estimation and Cauchy/DFT coefficient
+recovery.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,24 +176,6 @@ class SparseMultiPoly:
         return cls.from_json_dict(scalars._read_json(path))
 
 
-@dataclass
-class PolydiscPoint:
-    """Finitely supported point of the polydisc; absent coordinates are 0."""
-
-    coords: dict[int, complex] = field(default_factory=dict)
-    allow_outside: bool = False
-
-    def max_modulus(self) -> float:
-        return max((abs(z) for z in self.coords.values()), default=0.0)
-
-    def check(self) -> None:
-        if not self.allow_outside and self.max_modulus() > 1 + 1e-12:
-            raise ValueError(
-                f"point has modulus {self.max_modulus():.6g} > 1; "
-                "set allow_outside=True to evaluate anyway"
-            )
-
-
 def bohr_lift(f: TruncatedDirichletSeries, table: PrimeTable) -> SparseMultiPoly:
     """Send each stored n to the monomial of its factorization exponents."""
     if f.window > table.bound:
@@ -225,36 +207,6 @@ def bohr_drop(
     return TruncatedDirichletSeries(window, coeffs, p.mode)
 
 
-def poly_eval(p: SparseMultiPoly, z) -> complex:
-    """Evaluate at a polydisc point (dict or PolydiscPoint); missing coords are 0."""
-    if isinstance(z, PolydiscPoint):
-        z.check()
-        coords = z.coords
-    else:
-        coords = z
-    total = 0j
-    for mono, c in p.terms.items():
-        val = complex(c)
-        for i, e in mono:
-            zi = coords.get(i, 0j)
-            if zi == 0:
-                val = 0j
-                break
-            val *= zi**e
-        total += val
-    return total
-
-
-def eval_c(s: complex, M: int, table: PrimeTable) -> PolydiscPoint:
-    """The point c(s) = (2^{-s}, 3^{-s}, ..., p_M^{-s})."""
-    s = complex(s)
-    coords = {}
-    for i in range(1, M + 1):
-        p = table.prime(i)
-        coords[i] = complex(np.exp(-s * math.log(p)))
-    return PolydiscPoint(coords, allow_outside=(s.real <= 0))
-
-
 # -- torus supremum estimation -------------------------------------------
 
 
@@ -267,7 +219,6 @@ class TorusSupResult:
 
     value: float
     phases: dict[int, float]
-    point: dict[int, complex]
     radius: float
     converged: bool
 
@@ -386,41 +337,29 @@ def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, phases
 
 
-def _ascend(
-    weights, exps, theta0: np.ndarray, max_cycles: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cyclic exact line maximization along each phase coordinate, from the
-    starts in the rows of ``theta0`` at once.
+def _ascend(weights, exps, theta0: np.ndarray) -> np.ndarray:
+    """One sweep of exact line maximization along each phase coordinate in
+    turn, from the starts in the rows of ``theta0`` at once.
 
     ``(weights, exps)`` is the lift from ``_phase_arrays``.  Along each axis
-    every active row's univariate coefficients come from one product with a
+    every row's univariate coefficients come from one product with a
     one-hot (terms, degree + 1) matrix, and one ``_line_max_rows`` call
     maximizes them all, whatever their scale or zero end coefficients.  A
-    row retires once a cycle gains at most 1e-13 max(1, value); returns the
-    phases, values and those convergence flags, row by row, for
-    ``_polish_rows`` to take as its starts.
+    row takes the line maximum only when it is at least the row's current
+    value.  Returns the phases, for ``_polish_rows`` to take as its starts.
     """
     theta = np.array(theta0, dtype=float)
     e = exps.T.astype(float)
-    onehot = [(col[:, None] == np.arange(col.max() + 1)).astype(float) for col in exps.T]
     current = np.abs(np.exp(1j * (theta @ e)) @ weights)
-    converged = np.zeros(len(theta), dtype=bool)
-    for _ in range(max_cycles):
-        rows = np.flatnonzero(~converged)
-        before = current[rows]
-        for axis, hot in enumerate(onehot):
-            # Coefficients of each row's polynomial in z = e^{i theta_axis}.
-            th = theta[rows]
-            ph = weights * np.exp(1j * (th @ e - th[:, axis : axis + 1] * e[axis]))
-            v, t = _line_max_rows(ph @ hot)
-            up = v >= current[rows]
-            current[rows[up]] = v[up]
-            theta[rows[up], axis] = t[up] % (2.0 * np.pi)
-        after = current[rows]
-        converged[rows[after - before <= 1e-13 * np.maximum(1.0, after)]] = True
-        if converged.all():
-            break
-    return theta, current, converged
+    for axis, col in enumerate(exps.T):
+        hot = (col[:, None] == np.arange(col.max() + 1)).astype(float)
+        # Coefficients of each row's polynomial in z = e^{i theta_axis}.
+        ph = weights * np.exp(1j * (theta @ e - theta[:, axis : axis + 1] * e[axis]))
+        v, t = _line_max_rows(ph @ hot)
+        up = v >= current
+        current[up] = v[up]
+        theta[up, axis] = t[up] % (2.0 * np.pi)
+    return theta
 
 
 # Newton steps and step halvings per polish, and the longest Newton step
@@ -533,10 +472,8 @@ def _check_grid(grid_per_var: int, k: int) -> None:
         )
 
 
-# Random starts of the optimizer after the best grid point, and the most
-# coordinate-ascent cycles from each start.
+# Random starts of the optimizer after the best grid point.
 _RESTARTS = 6
-_ASCENT_CYCLES = 12
 
 
 def torus_sup(
@@ -548,10 +485,9 @@ def torus_sup(
     """Certified lower bound on sup |p| over the torus of the given radius.
 
     Deterministic phase grid, then seven starts: the best grid point and
-    ``_RESTARTS`` seeded random phases.  The starts ascend together by
-    cyclic exact coordinate maximization, each for at most ``_ASCENT_CYCLES``
-    cycles and until a cycle gains at most 1e-13 max(1, value); then all
-    seven take the Newton polish together, one stacked ``eigh`` per step.
+    ``_RESTARTS`` seeded random phases.  The starts take one sweep of exact
+    coordinate maximization together, each axis once; then all seven take
+    the Newton polish together, one stacked ``eigh`` per step.
     Ties on the grid break toward the first index in row-major phase order,
     and ties between starts toward the grid start, so results are
     reproducible.  ``converged`` is the polish's certificate at the winning
@@ -565,7 +501,7 @@ def torus_sup(
     _check_grid(grid_per_var, k)
     const = abs(complex(pf.terms.get((), 0j)))
     if k == 0:
-        return TorusSupResult(const, {}, {}, radius, True)
+        return TorusSupResult(const, {}, radius, True)
     terms = list(pf.terms.items())
     weights, exps = _phase_arrays(terms, variables, radius)
     vals = _grid_values(terms, variables, radius, grid_per_var)
@@ -575,13 +511,11 @@ def torus_sup(
     rng = np.random.default_rng(seed)
     starts = [theta_grid] + [rng.uniform(0.0, 2.0 * np.pi, size=k) for _ in range(_RESTARTS)]
 
-    ascended = _ascend(weights, exps, np.array(starts), _ASCENT_CYCLES)[0]
-    theta, values, certified = _polish_rows(weights, exps, ascended)
+    theta, values, certified = _polish_rows(weights, exps, _ascend(weights, exps, np.array(starts)))
     # argmax keeps the first of equal values, so the grid start wins ties
     best = int(np.argmax(values))
     phases = {v: float(theta[best, a] % (2 * np.pi)) for a, v in enumerate(variables)}
-    point = {v: radius * complex(np.exp(1j * t)) for v, t in phases.items()}
-    return TorusSupResult(float(values[best]), phases, point, radius, bool(certified[best]))
+    return TorusSupResult(float(values[best]), phases, radius, bool(certified[best]))
 
 
 # auto_grid's point budget and its range of grid sizes per variable.

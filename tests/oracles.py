@@ -1,0 +1,68 @@
+"""Direct evaluation oracles for the tests: Dirichlet partial sums and
+polynomials at points of the polydisc, term by term.
+
+They check the Bohr correspondence f(s) = P(c(s)) and the witnesses that
+``line_sup`` and ``torus_sup`` report.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+
+def partial_sum(f, s: complex) -> complex:
+    """Evaluate sum a_n n^{-s} over the window via exp(-s log n)."""
+    s = complex(s)
+    total = 0j
+    for n, c in f.coeffs.items():
+        total += complex(c) * complex(np.exp(-s * math.log(n)))
+    return total
+
+
+@dataclass
+class PolydiscPoint:
+    """Finitely supported point of the polydisc; absent coordinates are 0."""
+
+    coords: dict[int, complex] = field(default_factory=dict)
+    allow_outside: bool = False
+
+    def max_modulus(self) -> float:
+        return max((abs(z) for z in self.coords.values()), default=0.0)
+
+    def check(self) -> None:
+        if not self.allow_outside and self.max_modulus() > 1 + 1e-12:
+            raise ValueError(
+                f"point has modulus {self.max_modulus():.6g} > 1; "
+                "set allow_outside=True to evaluate anyway"
+            )
+
+
+def poly_eval(p, z) -> complex:
+    """Evaluate at a polydisc point (dict or PolydiscPoint); missing coords are 0."""
+    if isinstance(z, PolydiscPoint):
+        z.check()
+        coords = z.coords
+    else:
+        coords = z
+    total = 0j
+    for mono, c in p.terms.items():
+        val = complex(c)
+        for i, e in mono:
+            zi = coords.get(i, 0j)
+            if zi == 0:
+                val = 0j
+                break
+            val *= zi**e
+        total += val
+    return total
+
+
+def eval_c(s: complex, M: int, table) -> PolydiscPoint:
+    """The point c(s) = (2^{-s}, 3^{-s}, ..., p_M^{-s})."""
+    s = complex(s)
+    coords = {}
+    for i in range(1, M + 1):
+        p = table.prime(i)
+        coords[i] = complex(np.exp(-s * math.log(p)))
+    return PolydiscPoint(coords, allow_outside=(s.real <= 0))

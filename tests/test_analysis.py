@@ -12,7 +12,6 @@ from dirichlet_toolkit import (
     TruncatedDirichletSeries,
     convexity_check,
     line_sup,
-    partial_sum,
     perron_error_bound,
     perron_recover,
     seminorm_Pr,
@@ -30,6 +29,7 @@ from dirichlet_toolkit.analysis import (
 from dirichlet_toolkit.bohr import auto_grid, bohr_lift, torus_sup
 from dirichlet_toolkit.errors import NumericFailureError
 from dirichlet_toolkit.scalars import FLOAT
+from oracles import partial_sum
 
 
 @pytest.fixture(scope="module")

@@ -19,15 +19,10 @@ from dirichlet_toolkit import (
     bohr_drop,
     bohr_lift,
     cauchy_coefficient,
-    eval_c,
-    poly_eval,
     torus_sup,
 )
-from dirichlet_toolkit.analysis import partial_sum
 import dirichlet_toolkit
 from dirichlet_toolkit.bohr import (
-    _ASCENT_CYCLES,
-    PolydiscPoint,
     _ascend,
     _line_max_rows,
     _moduli,
@@ -38,6 +33,7 @@ from dirichlet_toolkit.bohr import (
 from dirichlet_toolkit.builders import random_series
 from dirichlet_toolkit.errors import BudgetExceededError, NumericFailureError, WindowOverflowError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
+from oracles import PolydiscPoint, eval_c, partial_sum, poly_eval
 
 
 @pytest.fixture(scope="module")
@@ -253,22 +249,13 @@ def test_line_max_rows_matches_the_scalar_kernel(rows):
 
 
 def test_ascend_rows_match_one_row_ascents():
-    # From these six starts the ascent on the lift of this series retires
-    # after 10 or 11 cycles, or not within the limit at all.
     coeffs = {1: 1.0, 3: -0.3 + 0.5j, 4: -0.2 - 0.8j, 5: -0.4 + 0.3j, 12: -0.3 - 1j}
     p = bohr_lift(TruncatedDirichletSeries(20, coeffs, FLOAT), PrimeTable(20))
     weights, exps = _phase_arrays(list(p.terms.items()), p.variables(), 1.0)
     starts = np.array([[0.5 * (i + 1) * (a + 1) % 6.28 for a in range(3)] for i in range(6)])
-    theta, values, converged = _ascend(weights, exps, starts, _ASCENT_CYCLES)
-    retired = []
+    theta = _ascend(weights, exps, starts)
     for s, start in enumerate(starts):
-        one_theta, one_value, one_converged = _ascend(weights, exps, start[None], _ASCENT_CYCLES)
-        np.testing.assert_allclose(theta[s], one_theta[0], rtol=1e-12)
-        assert values[s] == pytest.approx(one_value[0], rel=1e-12)
-        assert converged[s] == one_converged[0]
-        cycles = range(1, _ASCENT_CYCLES + 1)
-        retired.append(next((c for c in cycles if _ascend(weights, exps, start[None], c)[2][0]), None))
-    assert {10, 11, None} <= set(retired)
+        np.testing.assert_allclose(theta[s], _ascend(weights, exps, start[None])[0], rtol=1e-12)
 
 
 @st.composite
@@ -293,6 +280,20 @@ def test_polish_never_lowers_its_start(lift):
     theta, value, _ = _polish_rows(weights, exps, theta0)
     assert (value >= start).all()
     assert (value == _moduli(weights, exps, theta)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_lift())
+# |p| = 0.1 everywhere: the move to a phase of equal value loses an ulp
+@example((np.array([-0.01, -0.09, 0j]), np.array([[0, 0, 2], [0, 0, 2], [0, 0, 0]]), np.array([[0, 0, 0.5]])))
+def test_ascend_never_lowers_its_start(lift):
+    # The guard compares the line maximum as _line_max_rows evaluates it
+    # with the current value as a matrix product gives it, so _moduli may
+    # see a loss at rounding level, never more.
+    weights, exps, theta0 = lift
+    theta = _ascend(weights, exps, theta0)
+    start = _moduli(weights, exps, theta0)
+    assert (_moduli(weights, exps, theta) >= start - 1e-14 * np.abs(weights).sum()).all()
 
 
 def test_polish_rows_match_one_row_polishes():
@@ -392,7 +393,8 @@ def test_torus_sup_dominates_dense_grid(table):
 def test_torus_sup_reported_point_attains_value():
     p = SparseMultiPoly({((1, 1),): 1.0 + 2.0j, ((2, 1),): -1.0, (): 0.5j}, FLOAT)
     res = torus_sup(p, 1.0, grid_per_var=16, seed=0)
-    assert abs(poly_eval(p, res.point)) == pytest.approx(res.value, rel=1e-12)
+    point = {v: res.radius * np.exp(1j * t) for v, t in res.phases.items()}
+    assert abs(poly_eval(p, point)) == pytest.approx(res.value, rel=1e-12)
 
 
 def test_torus_sup_radius_scaling():
