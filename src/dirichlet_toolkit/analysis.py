@@ -8,7 +8,8 @@ Perron-type coefficient recovery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,12 +167,14 @@ class SigmaUEstimate:
     unclamped: float
     argmax_prefix: int
     method: str  # "torus" or "line": how each prefix sup was estimated
+    # prefix sups computed; how the estimate was found, not part of it
+    sups: int = field(compare=False)
 
     def as_record(self) -> dict:
         return {
             "value": self.value,
             "unclamped": self.unclamped,
-            "witness": {"prefix": self.argmax_prefix, "method": self.method},
+            "witness": {"prefix": self.argmax_prefix, "method": self.method, "sups": self.sups},
         }
 
 
@@ -179,6 +182,8 @@ class SigmaUEstimate:
 # cannot afford the torus grid
 _SIGMA_U_T = 1000.0
 _SIGMA_U_SAMPLES = 20_000
+# relative slack on a prefix's l1 sum, far above the rounding of any computed sup
+_L1_SLACK = 1e-9
 
 
 def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> SigmaUEstimate:
@@ -188,9 +193,15 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     window, then clamps at 0.  The sup of a prefix changes only at support
     points, and between changes the ratio is monotone in N', so only
     support points and the window itself are candidates.  This is an
-    estimator of the limsup, not the limsup.  Candidates with the same
-    prefix share one sup: each distinct prefix is computed once, so the
-    window, when it is not a support point, reuses the last support point's.
+    estimator of the limsup, not the limsup.  Ties go to the smallest N'.
+
+    A prefix's sup is at most its l1 sum, so log(l1 (1 + 1e-9)) / log N'
+    bounds its ratio; the floor at the smallest normal double covers
+    subnormal sums.  Candidates are visited by descending bound, and the
+    search stops at the first bound below the best ratio so far: no
+    candidate it skips can reach that ratio, so the pruning never changes
+    the result.  Candidates with the same prefix share one sup, so each
+    distinct prefix is computed at most once; ``sups`` counts them.
 
     Each prefix sup is the torus sup of its lift at ``auto_grid`` when the
     whole series' lift, in k variables, fits that grid within the torus
@@ -199,36 +210,41 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     """
     if f.window < 2:
         raise ValueError("window must be >= 2")
+    f = f.to_float()
     k = len(bohr_lift(f, table).variables())
     method = "torus" if auto_grid(k) ** k <= bohr._GRID_BUDGET else "line"
 
     def prefix_sup(prefix: TruncatedDirichletSeries) -> float:
-        if prefix.is_zero():
-            return 0.0
         if method == "torus":
-            p = bohr_lift(prefix.to_float(), table)
+            p = bohr_lift(prefix, table)
             return torus_sup(p, 1.0, grid_per_var=auto_grid(len(p.variables()))).value
-        return line_sup(prefix.to_float(), 0.0, _SIGMA_U_T, _SIGMA_U_SAMPLES).sup_estimate
+        return line_sup(prefix, 0.0, _SIGMA_U_T, _SIGMA_U_SAMPLES).sup_estimate
 
-    candidates = sorted({n for n in f.support() if n >= 2} | {f.window})
-    if 1 in f.coeffs and (not candidates or candidates[0] > 2):
-        candidates.insert(0, 2)
+    candidates = sorted({max(n, 2) for n in f.coeffs} | {f.window})  # a_1 enters at N' = 2
+    prefixes = {n: f.truncate(n) for n in candidates}
+    bound = {
+        n: math.log(max(p.l1_norm() * (1 + _L1_SLACK), sys.float_info.min)) / math.log(n)
+        for n, p in prefixes.items()
+    }
     sups: dict[int, float] = {}  # by prefix length: the prefixes are nested
-    best = -math.inf
-    arg = candidates[0] if candidates else f.window
-    for Nprime in candidates:
-        prefix = f.truncate(Nprime)
+    best, arg = -math.inf, candidates[0]
+    for Nprime in sorted(candidates, key=lambda n: (-bound[n], n)):
+        if bound[Nprime] < best:
+            break
+        prefix = prefixes[Nprime]
+        if prefix.is_zero():
+            continue
         if len(prefix) not in sups:
             sups[len(prefix)] = prefix_sup(prefix)
         sup = sups[len(prefix)]
         if sup <= 0.0:
             continue
         ratio = math.log(sup) / math.log(Nprime)
-        if ratio > best:
+        if ratio > best or (ratio == best and Nprime < arg):
             best, arg = ratio, Nprime
     if best == -math.inf:
         best = 0.0
-    return SigmaUEstimate(max(best, 0.0), best, arg, method)
+    return SigmaUEstimate(max(best, 0.0), best, arg, method, len(sups))
 
 
 def seminorm_Pr(

@@ -2,13 +2,16 @@
 polynomials at points of the polydisc, term by term.
 
 They check the Bohr correspondence f(s) = P(c(s)) and the witnesses that
-``line_sup`` and ``torus_sup`` report.
+``line_sup`` and ``torus_sup`` report.  ``sigma_u_every_candidate`` is
+``sigma_u_plus_estimate`` without its l1 prune and its shared prefix sups.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from dirichlet_toolkit import analysis, bohr
 
 
 def partial_sum(f, s: complex) -> complex:
@@ -66,3 +69,35 @@ def eval_c(s: complex, M: int, table) -> PolydiscPoint:
         p = table.prime(i)
         coords[i] = complex(np.exp(-s * math.log(p)))
     return PolydiscPoint(coords, allow_outside=(s.real <= 0))
+
+
+def sigma_u_every_candidate(f, table) -> analysis.SigmaUEstimate:
+    """The abscissa surrogate by one sup per candidate N', in ascending order.
+
+    The candidates are 2 when a_1 is nonzero, every support point >= 2 and
+    the window; of equal ratios the first (smallest N') is kept.
+    """
+    f = f.to_float()
+    k = len(bohr.bohr_lift(f, table).variables())
+    method = "torus" if bohr.auto_grid(k) ** k <= bohr._GRID_BUDGET else "line"
+    candidates = [
+        n for n in range(2, f.window + 1)
+        if n in f.coeffs or n == f.window or (n == 2 and 1 in f.coeffs)
+    ]
+    best, arg, sups = -math.inf, candidates[0], 0
+    for n in candidates:
+        prefix = f.truncate(n)
+        if prefix.is_zero():
+            continue
+        sups += 1
+        if method == "torus":
+            p = bohr.bohr_lift(prefix, table)
+            sup = bohr.torus_sup(p, 1.0, grid_per_var=bohr.auto_grid(len(p.variables()))).value
+        else:
+            rep = analysis.line_sup(prefix, 0.0, analysis._SIGMA_U_T, analysis._SIGMA_U_SAMPLES)
+            sup = rep.sup_estimate
+        if sup > 0.0 and math.log(sup) / math.log(n) > best:
+            best, arg = math.log(sup) / math.log(n), n
+    if best == -math.inf:
+        best = 0.0
+    return analysis.SigmaUEstimate(max(best, 0.0), best, arg, method, sups)

@@ -29,7 +29,7 @@ from dirichlet_toolkit.analysis import (
 from dirichlet_toolkit.bohr import auto_grid, bohr_lift, torus_sup
 from dirichlet_toolkit.errors import NumericFailureError
 from dirichlet_toolkit.scalars import FLOAT
-from oracles import partial_sum
+from oracles import partial_sum, sigma_u_every_candidate
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,8 @@ def test_sigma_u_clamps_at_zero(table):
 def test_sigma_u_computes_each_distinct_prefix_once(table, monkeypatch):
     # Six candidates 2, 3, 6, 9, 35, 40 but five distinct prefixes: 40 is
     # not a support point, so its prefix is the one at 35.  Every sup is
-    # below 1, so the ratio is largest at the window.
+    # below 1, so the ratio is largest at the window.  The l1 bound may rule
+    # a prefix out, so each distinct prefix is computed at most once.
     coeffs = {1: 0.2, 2: 0.1 - 0.05j, 3: -0.1j, 6: 0.05, 9: 0.02 + 0.1j, 35: -0.1}
     f = TruncatedDirichletSeries(40, coeffs, FLOAT)
     prefixes = []
@@ -129,7 +130,8 @@ def test_sigma_u_computes_each_distinct_prefix_once(table, monkeypatch):
 
     monkeypatch.setattr(analysis, "torus_sup", counted)
     est = sigma_u_plus_estimate(f, table)
-    assert len(prefixes) == len(set(prefixes)) == 5
+    assert len(prefixes) == len(set(prefixes)) <= 5
+    assert est.sups == len(prefixes)
     # the estimate of one torus sup per candidate, shared prefixes included
     ratios = []
     for n in (2, 3, 6, 9, 35, 40):
@@ -138,7 +140,50 @@ def test_sigma_u_computes_each_distinct_prefix_once(table, monkeypatch):
         ratios.append((math.log(sup) / math.log(n), n))
     best, arg = max(ratios)
     assert arg == 40
-    assert est == SigmaUEstimate(max(best, 0.0), best, arg, "torus")
+    assert est == SigmaUEstimate(max(best, 0.0), best, arg, "torus", len(ratios))
+
+
+_SIGMA_U_SCALES = (1.0, 1e-3, 1e300, 1e-310, 5e-324)
+_sigma_u_coeff = st.builds(
+    lambda scale, re, im: scale * complex(re, im),
+    st.sampled_from(_SIGMA_U_SCALES),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _sigma_u_series(draw):
+    window = draw(st.integers(2, 30))
+    coeffs = draw(st.dictionaries(st.integers(1, window), _sigma_u_coeff, max_size=5))
+    return TruncatedDirichletSeries(window, coeffs, FLOAT)
+
+
+# ties: ratios 0.0 at 3 and 6 (arg 3), ratios 1.0 at 2 and 4 (arg 2)
+_SIGMA_U_CASES = [
+    (TruncatedDirichletSeries(6, {2: 0.5, 3: 0.5}, FLOAT), 3),
+    (TruncatedDirichletSeries(4, {2: 2.0, 4: 2.0}, FLOAT), 2),
+    (TruncatedDirichletSeries(12, {1: 3.0 - 4.0j}, FLOAT), 2),
+    (TruncatedDirichletSeries(12, {}, FLOAT), 12),
+    (TruncatedDirichletSeries(20, {1: 0.25, 3: 0.25j, 10: -0.25}, FLOAT), 20),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sigma_u_series())
+@example(_SIGMA_U_CASES[0][0])
+@example(_SIGMA_U_CASES[1][0])
+@example(_SIGMA_U_CASES[2][0])
+@example(_SIGMA_U_CASES[3][0])
+@example(_SIGMA_U_CASES[4][0])
+def test_sigma_u_matches_one_sup_per_candidate(table, f):
+    # the l1 prune never changes the estimate, ties and subnormal sums included
+    assert sigma_u_plus_estimate(f, table) == sigma_u_every_candidate(f, table)
+
+
+@pytest.mark.parametrize("f, arg", _SIGMA_U_CASES, ids=["tie-0", "tie-1", "a1-only", "zero", "below-1"])
+def test_sigma_u_ties_go_to_the_smallest_prefix(table, f, arg):
+    assert sigma_u_plus_estimate(f, table).argmax_prefix == arg
 
 
 # -- seminorms ------------------------------------------------------------

@@ -544,6 +544,16 @@ def test_analyze_sigma_u_of_a_series_beyond_the_torus_grid(tmp_path):
     assert doc["value"] == pytest.approx(1.0, abs=0.02)
 
 
+def test_analyze_sigma_u_records_its_prefix_sup_count(tmp_path):
+    # Prefixes {2} and {2, 3}.  The sup 1 at N' = 3 gives ratio 0, and the
+    # l1 bound of N' = 2, log 0.5 / log 2 = -1, rules the other prefix out.
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"window": 6, "mode": "float", "coeffs": {"2": [0.5, 0], "3": [0.5, 0]}}))
+    out = tmp_path / "s.json"
+    assert run(["analyze", "sigma-u", str(f), "--out", str(out)]) == 0
+    assert read_json(out)["witness"]["witness"] == {"prefix": 3, "method": "torus", "sups": 1}
+
+
 def test_analyze_cauchy_overflow_is_a_numeric_failure(tmp_path, capsys):
     # the l1 sum is finite, but the grid average of the lift overflows
     f = tmp_path / "f.json"
