@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bohr
 from .bohr import auto_grid, bohr_lift, torus_sup
 from .errors import NumericFailureError
 from .primes import PrimeTable
@@ -166,7 +165,6 @@ class SigmaUEstimate:
     value: float  # clamped at 0, matching the (.)^+ in the surrogate
     unclamped: float
     argmax_prefix: int
-    method: str  # "torus" or "line": how each prefix sup was estimated
     # prefix sups computed; how the estimate was found, not part of it
     sups: int = field(compare=False)
 
@@ -174,14 +172,10 @@ class SigmaUEstimate:
         return {
             "value": self.value,
             "unclamped": self.unclamped,
-            "witness": {"prefix": self.argmax_prefix, "method": self.method, "sups": self.sups},
+            "witness": {"prefix": self.argmax_prefix, "sups": self.sups},
         }
 
 
-# line_sup's t-range [-T, T] and grid size when sigma_u_plus_estimate
-# cannot afford the torus grid
-_SIGMA_U_T = 1000.0
-_SIGMA_U_SAMPLES = 20_000
 # relative slack on a prefix's l1 sum, far above the rounding of any computed sup
 _L1_SLACK = 1e-9
 
@@ -203,22 +197,17 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     the result.  Candidates with the same prefix share one sup, so each
     distinct prefix is computed at most once; ``sups`` counts them.
 
-    Each prefix sup is the torus sup of its lift at ``auto_grid`` when the
-    whole series' lift, in k variables, fits that grid within the torus
-    point budget (k <= 13); otherwise it is ``line_sup`` on sigma = 0 over
-    [-1000, 1000] with 20 000 samples, a lower estimate of the same sup.
+    Each prefix sup is the torus sup of its lift, in k variables, at
+    ``auto_grid(k)``.  For a Dirichlet polynomial that sup is its sup on
+    the line sigma = 0.
     """
     if f.window < 2:
         raise ValueError("window must be >= 2")
     f = f.to_float()
-    k = len(bohr_lift(f, table).variables())
-    method = "torus" if auto_grid(k) ** k <= bohr._GRID_BUDGET else "line"
 
     def prefix_sup(prefix: TruncatedDirichletSeries) -> float:
-        if method == "torus":
-            p = bohr_lift(prefix, table)
-            return torus_sup(p, 1.0, grid_per_var=auto_grid(len(p.variables()))).value
-        return line_sup(prefix, 0.0, _SIGMA_U_T, _SIGMA_U_SAMPLES).sup_estimate
+        p = bohr_lift(prefix, table)
+        return torus_sup(p, 1.0, grid_per_var=auto_grid(len(p.variables()))).value
 
     candidates = sorted({max(n, 2) for n in f.coeffs} | {f.window})  # a_1 enters at N' = 2
     prefixes = {n: f.truncate(n) for n in candidates}
@@ -244,7 +233,7 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
             best, arg = ratio, Nprime
     if best == -math.inf:
         best = 0.0
-    return SigmaUEstimate(max(best, 0.0), best, arg, method, len(sups))
+    return SigmaUEstimate(max(best, 0.0), best, arg, len(sups))
 
 
 def seminorm_Pr(

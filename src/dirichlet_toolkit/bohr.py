@@ -257,9 +257,11 @@ def _grid_values(
     variables: list[int],
     radius: float,
     grid_per_var: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense evaluation on the phase grid (grid_per_var,)*k, row-major.
 
+    Returns the values and the lift's ``(weights, exps)`` from
+    ``_phase_arrays``, so a caller that needs both builds them once.
     Exponents may be negative, as in a lift divided by a monomial.
     """
     k = len(variables)
@@ -276,7 +278,7 @@ def _grid_values(
             shape[axis] = g
             arr = arr * np.exp(1j * row[axis] * theta).reshape(shape)
         vals += arr
-    return vals
+    return vals, weights, exps
 
 
 def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -502,9 +504,7 @@ def torus_sup(
     const = abs(complex(pf.terms.get((), 0j)))
     if k == 0:
         return TorusSupResult(const, {}, radius, True)
-    terms = list(pf.terms.items())
-    weights, exps = _phase_arrays(terms, variables, radius)
-    vals = _grid_values(terms, variables, radius, grid_per_var)
+    vals, weights, exps = _grid_values(list(pf.terms.items()), variables, radius, grid_per_var)
     idx = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
     theta_grid = 2.0 * np.pi * np.array(idx, dtype=float) / grid_per_var
 
@@ -526,12 +526,16 @@ _AUTO_GRID_MAX = 32
 
 def auto_grid(nvars: int) -> int:
     """Largest per-variable grid size in [3, 32] whose full grid has at most
-    2^18 points; 3 when even that grid has more.
+    2^18 points.  When even the 3-point grid has more, the largest size,
+    down to 1, that ``torus_sup`` accepts: 3 up to 13 variables, 2 up to 22
+    and 1 beyond.
     """
     if nvars <= 0:
         return _AUTO_GRID_MAX
     g = _AUTO_GRID_MAX
     while g > _AUTO_GRID_MIN and g**nvars > _AUTO_GRID_BUDGET:
+        g -= 1
+    while g > 1 and g**nvars > _GRID_BUDGET:
         g -= 1
     return g
 
@@ -568,7 +572,8 @@ def cauchy_coefficient(
         for mono, c in pf.terms.items()
     ]
     try:
-        got = complex(_grid_values(shifted, variables, radius, g).mean())
+        vals, _, _ = _grid_values(shifted, variables, radius, g)
+        got = complex(vals.mean())
     except OverflowError:  # a power r^(e - a) with e < a, at a tiny radius
         raise NumericFailureError(f"radius {radius} too small to recover a_{n}") from None
     # finite coefficients can still overflow the grid values or their mean

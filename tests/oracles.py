@@ -3,7 +3,8 @@ polynomials at points of the polydisc, term by term.
 
 They check the Bohr correspondence f(s) = P(c(s)) and the witnesses that
 ``line_sup`` and ``torus_sup`` report.  ``sigma_u_every_candidate`` is
-``sigma_u_plus_estimate`` without its l1 prune and its shared prefix sups.
+``sigma_u_plus_estimate`` without its l1 prune and its shared prefix sups;
+``sigma_u_by_line_sups`` is the same surrogate with line-sampled sups.
 """
 
 import math
@@ -71,15 +72,13 @@ def eval_c(s: complex, M: int, table) -> PolydiscPoint:
     return PolydiscPoint(coords, allow_outside=(s.real <= 0))
 
 
-def sigma_u_every_candidate(f, table) -> analysis.SigmaUEstimate:
-    """The abscissa surrogate by one sup per candidate N', in ascending order.
+def _every_candidate(f, prefix_sup) -> tuple[float, int, int]:
+    """The unclamped ratio, its prefix and the sup count, by one
+    ``prefix_sup`` per candidate N' in ascending order.
 
     The candidates are 2 when a_1 is nonzero, every support point >= 2 and
     the window; of equal ratios the first (smallest N') is kept.
     """
-    f = f.to_float()
-    k = len(bohr.bohr_lift(f, table).variables())
-    method = "torus" if bohr.auto_grid(k) ** k <= bohr._GRID_BUDGET else "line"
     candidates = [
         n for n in range(2, f.window + 1)
         if n in f.coeffs or n == f.window or (n == 2 and 1 in f.coeffs)
@@ -90,14 +89,37 @@ def sigma_u_every_candidate(f, table) -> analysis.SigmaUEstimate:
         if prefix.is_zero():
             continue
         sups += 1
-        if method == "torus":
-            p = bohr.bohr_lift(prefix, table)
-            sup = bohr.torus_sup(p, 1.0, grid_per_var=bohr.auto_grid(len(p.variables()))).value
-        else:
-            rep = analysis.line_sup(prefix, 0.0, analysis._SIGMA_U_T, analysis._SIGMA_U_SAMPLES)
-            sup = rep.sup_estimate
+        sup = prefix_sup(prefix)
         if sup > 0.0 and math.log(sup) / math.log(n) > best:
             best, arg = math.log(sup) / math.log(n), n
     if best == -math.inf:
         best = 0.0
-    return analysis.SigmaUEstimate(max(best, 0.0), best, arg, method, sups)
+    return best, arg, sups
+
+
+def sigma_u_every_candidate(f, table) -> analysis.SigmaUEstimate:
+    """The abscissa surrogate by one torus sup per candidate N'."""
+
+    def prefix_sup(prefix):
+        p = bohr.bohr_lift(prefix, table)
+        return bohr.torus_sup(p, 1.0, grid_per_var=bohr.auto_grid(len(p.variables()))).value
+
+    best, arg, sups = _every_candidate(f.to_float(), prefix_sup)
+    return analysis.SigmaUEstimate(max(best, 0.0), best, arg, sups)
+
+
+# The retired line method's t-range [-T, T] and sample count.
+_LINE_T = 1000.0
+_LINE_SAMPLES = 20_000
+
+
+def sigma_u_by_line_sups(f) -> float:
+    """The clamped abscissa surrogate with each prefix sup sampled on the
+    line sigma = 0 by ``line_sup``: a lower estimate of each torus sup.
+    """
+
+    def prefix_sup(prefix):
+        return analysis.line_sup(prefix, 0.0, _LINE_T, _LINE_SAMPLES).sup_estimate
+
+    best, _, _ = _every_candidate(f.to_float(), prefix_sup)
+    return max(best, 0.0)

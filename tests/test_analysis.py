@@ -1,6 +1,7 @@
 """Line sups, the abscissa surrogate, seminorm profiles, Perron recovery."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dirichlet_toolkit.analysis import (
 from dirichlet_toolkit.bohr import auto_grid, bohr_lift, torus_sup
 from dirichlet_toolkit.errors import NumericFailureError
 from dirichlet_toolkit.scalars import FLOAT
-from oracles import partial_sum, sigma_u_every_candidate
+from oracles import partial_sum, sigma_u_by_line_sups, sigma_u_every_candidate
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +93,11 @@ def test_line_sup_overflow_is_a_numeric_failure():
 
 
 def test_sigma_u_zeta(table):
-    # Prefix sups of zeta_N grow like N, so the ratio tends to 1.
-    # 18 active prime variables make the torus grid infeasible, so the
-    # estimate takes the line method, which evaluates the same sup directly.
+    # The prefix at N' sums N' ones, so its sup is N' (all phases 0) and
+    # every ratio is 1.  The whole lift has 18 variables, a 2-point grid.
     f = TruncatedDirichletSeries.zeta(64, FLOAT)
     est = sigma_u_plus_estimate(f, table)
-    assert est.method == "line"
-    assert est.value == pytest.approx(1.0, abs=0.02)
+    assert est.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sigma_u_single_monomial(table):
@@ -140,7 +139,7 @@ def test_sigma_u_computes_each_distinct_prefix_once(table, monkeypatch):
         ratios.append((math.log(sup) / math.log(n), n))
     best, arg = max(ratios)
     assert arg == 40
-    assert est == SigmaUEstimate(max(best, 0.0), best, arg, "torus", len(ratios))
+    assert est == SigmaUEstimate(max(best, 0.0), best, arg, len(ratios))
 
 
 _SIGMA_U_SCALES = (1.0, 1e-3, 1e300, 1e-310, 5e-324)
@@ -184,6 +183,51 @@ def test_sigma_u_matches_one_sup_per_candidate(table, f):
 @pytest.mark.parametrize("f, arg", _SIGMA_U_CASES, ids=["tie-0", "tie-1", "a1-only", "zero", "below-1"])
 def test_sigma_u_ties_go_to_the_smallest_prefix(table, f, arg):
     assert sigma_u_plus_estimate(f, table).argmax_prefix == arg
+
+
+def _many_variable_series(count: int) -> list[TruncatedDirichletSeries]:
+    """``count`` seeded float series, windows 64-128, whose lifts have at
+    least 14 variables: beyond the 3-point torus grid.
+    """
+    rng = random.Random(7)
+    table = PrimeTable(128)
+    out = []
+    while len(out) < count:
+        window = rng.randint(64, 128)
+        support = rng.sample(range(1, window + 1), rng.randint(12, 30))
+        f = TruncatedDirichletSeries(
+            window, {n: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for n in support}, FLOAT
+        )
+        if len(bohr_lift(f, table).variables()) >= 14:
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("f", _many_variable_series(8))
+def test_sigma_u_is_never_below_line_sampled_sups(table, f):
+    # every line sample is a value of the lift on the torus, so the torus
+    # optimizer should never end below the best of them
+    line = sigma_u_by_line_sups(f)
+    assert sigma_u_plus_estimate(f, table).value >= line - 1e-12 * abs(line)
+
+
+def test_sigma_u_of_a_series_on_25_primes(table):
+    # 25 variables get a 1-point grid: one start at phase 0 and the random
+    # ones.  Each variable appears in one linear term, so the sup is the l1 sum.
+    rng = random.Random(25)
+    primes = [table.prime(i) for i in range(1, 26)]
+    f = TruncatedDirichletSeries(
+        primes[-1], {p: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for p in primes}, FLOAT
+    )
+    assert auto_grid(25) == 1
+    p = bohr_lift(f, table)
+    assert torus_sup(p, 1.0, grid_per_var=auto_grid(25)).value == pytest.approx(
+        f.l1_norm(), rel=1e-12
+    )
+    # every prefix is linear in its own variables too
+    est = sigma_u_plus_estimate(f, table)
+    best = max(math.log(f.truncate(n).l1_norm()) / math.log(n) for n in primes)
+    assert est.unclamped == pytest.approx(best, abs=1e-12)
 
 
 # -- seminorms ------------------------------------------------------------

@@ -24,6 +24,7 @@ from dirichlet_toolkit import (
 import dirichlet_toolkit
 from dirichlet_toolkit.bohr import (
     _ascend,
+    _check_grid,
     _line_max_rows,
     _moduli,
     _phase_arrays,
@@ -436,9 +437,15 @@ def test_torus_sup_ignores_term_order(orders, radius):
 
 
 def test_auto_grid():
-    assert auto_grid(1) == 32
-    assert auto_grid(4) ** 4 <= 1 << 18
-    assert auto_grid(100) == 3
+    # the largest grid of at most 2^18 points, down to 3 per variable, then
+    # the largest that the torus point budget accepts
+    assert [auto_grid(k) for k in range(1, 14)] == [32, 32, 32, 22, 12, 8, 5, 4, 4, 3, 3, 3, 3]
+    assert auto_grid(14) == 2
+    assert auto_grid(22) == 2
+    assert auto_grid(23) == 1
+    assert auto_grid(100) == 1
+    for k in range(41):
+        _check_grid(auto_grid(k), k)
 
 
 # -- coefficient recovery -------------------------------------------------

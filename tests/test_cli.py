@@ -534,13 +534,13 @@ def test_analyze_torus_sup_of_subnormal_coefficients(tmp_path, coeffs, expected)
 
 
 def test_analyze_sigma_u_of_a_series_beyond_the_torus_grid(tmp_path):
-    # zeta(64) lifts to 18 variables: even the 3^18-point torus grid exceeds the budget
+    # zeta(64) lifts to 18 variables: the 3^18-point torus grid exceeds the
+    # budget, so the whole lift gets 2 points per variable
     f = tmp_path / "zeta.json"
     run(["build", "zeta", "--window", "64", "--mode", "float", "--out", str(f)])
     out = tmp_path / "s.json"
     assert run(["analyze", "sigma-u", str(f), "--out", str(out)]) == 0
     doc = read_json(out)
-    assert doc["witness"]["witness"]["method"] == "line"
     assert doc["value"] == pytest.approx(1.0, abs=0.02)
 
 
@@ -551,7 +551,7 @@ def test_analyze_sigma_u_records_its_prefix_sup_count(tmp_path):
     f.write_text(json.dumps({"window": 6, "mode": "float", "coeffs": {"2": [0.5, 0], "3": [0.5, 0]}}))
     out = tmp_path / "s.json"
     assert run(["analyze", "sigma-u", str(f), "--out", str(out)]) == 0
-    assert read_json(out)["witness"]["witness"] == {"prefix": 3, "method": "torus", "sups": 1}
+    assert read_json(out)["witness"]["witness"] == {"prefix": 3, "sups": 1}
 
 
 def test_analyze_cauchy_overflow_is_a_numeric_failure(tmp_path, capsys):
