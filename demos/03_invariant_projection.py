@@ -41,6 +41,15 @@ assert project_invariant(pf, grp, table) == pf
 print("projection is idempotent: verified exactly.")
 print(f"is_invariant: {is_invariant(pf, grp, table).status}")
 
+# the window law: only orbit members inside the window are compared
+h = TruncatedDirichletSeries(10, {8: ExactComplex(1)})
+print(f"{{8: 1}} at window 10: {is_invariant(h, grp, table).status} "
+      f"(the truncation of 8^-s + 27^-s; 27 lies past the window)")
+bad = TruncatedDirichletSeries(20, {2: ExactComplex(1), 4: ExactComplex(1)})
+rep = is_invariant(bad, grp, table)
+print(f"{{2: 1, 4: 1}} at window 20: {rep.status}, witness (n, m) = {rep.witness} "
+      f"(a_3 = 0 != a_2), {rep.checked_pairs} members compared")
+
 print("\n== infinite orbits force zero ==\n")
 rho = PermutationGroup([infinite_index_cycle()])
 g = TruncatedDirichletSeries(10, {1: ExactComplex(7), 2: ExactComplex(1)})

@@ -39,6 +39,8 @@ def random_series(
     real_only: bool = False,
 ) -> TruncatedDirichletSeries:
     """Sparse random series; exact mode draws small rationals."""
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     rng = random.Random(seed)
     coeffs = {}
     for n in range(1, window + 1):

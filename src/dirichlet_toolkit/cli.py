@@ -79,7 +79,9 @@ def _parse_scalar(text: str, mode: str):
 def _parse_r_grid(spec: str) -> list[float]:
     lo, hi, count = spec.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
-    if count < 2:
+    if count < 1:
+        raise ValueError(f"r-grid {spec!r}: the point count must be at least 1")
+    if count == 1:
         return [lo]
     # the last point is hi itself: lo + (hi - lo) can round past it
     return [lo + (hi - lo) * i / (count - 1) for i in range(count - 1)] + [hi]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re as _re
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 from . import scalars
@@ -222,14 +223,20 @@ class PermutationGroup:
 # -- the completely multiplicative action ---------------------------------
 
 
-def _vector_value(entries, table: PrimeTable) -> int:
-    """The integer with the sorted exponent vector ``entries``, at most CEILING."""
+def _vector_value(entries, table: PrimeTable, limit: int | None = None) -> int | None:
+    """The integer with the sorted exponent vector ``entries``: None past ``limit``,
+    or with no limit ProductCeilingError past CEILING.  An index past a table
+    whose sieve covers ``limit`` has its prime past the limit too.
+    """
+    cap = CEILING if limit is None else limit
     n = 1
     for i, e in entries:
-        p = table.prime(i)
+        p = table.prime(i) if i <= len(table) or table.bound < cap else cap + 1
         for _ in range(e):
             n *= p
-            if n > CEILING:
+            if n > cap:
+                if limit is not None:
+                    return None
                 raise ProductCeilingError(
                     f"permuted image exceeds the product ceiling {CEILING}"
                 )
@@ -267,13 +274,13 @@ def act(sigma, f: TruncatedDirichletSeries, table: PrimeTable) -> TruncatedDiric
 
 
 def _images(generators, entries):
-    """Yield (g, image) for the exponent vector moved by each generator g and by g^-1.
+    """Yield the exponent vector moved by each generator g and by g^-1.
 
     Vectors are sorted (index, exponent) tuples, as in ``Factorization.entries``.
     """
     for g in generators:
-        yield g, tuple(sorted((g(i), e) for i, e in entries))
-        yield g, tuple(sorted((g.inv(i), e) for i, e in entries))
+        for h in (g, g.inv):
+            yield tuple(sorted([(h(i), e) for i, e in entries]))
 
 
 def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
@@ -292,6 +299,40 @@ def index_orbit(generators, i: int, bound: int) -> tuple[tuple[int, ...], str]:
     return tuple(sorted(members)), "unresolved" if escaped else "finite"
 
 
+def _orbits(f: TruncatedDirichletSeries, generators, table: PrimeTable, limit: int | None = None):
+    """Yield ``(n, members, finite)`` for each orbit meeting the support of f, from
+    its smallest stored n up; ``members`` are its sorted integers up to ``limit``.
+
+    ``finite`` says every prime-index orbit of n is certified finite, searched
+    up to max(len(table), the largest index a finite-support generator moves),
+    so only a rule permutation leaves it False; such an orbit is walked only
+    through images inside the window.
+    """
+    moved = [i for g in generators if isinstance(g, FiniteSupportPermutation) for i in g.support]
+    bound = max([len(table), *moved])
+    finite_index: dict[int, bool] = {}  # prime index -> its orbit is certified finite
+    step = partial(_images, generators)
+
+    def step_inside(v):  # an orbit that may be infinite is walked inside the window only
+        return [w for w in _images(generators, v) if _vector_value(w, table, f.window)]
+
+    done: set[int] = set()
+    for n in sorted(f.coeffs):
+        if n in done:
+            continue
+        vec = _entries(n, table)
+        for i, _ in vec:
+            if i not in finite_index:
+                # every member of an index orbit shares its status
+                orbit, status = index_orbit(generators, i, bound)
+                finite_index.update(dict.fromkeys(orbit, status == "finite"))
+        finite = all(finite_index[i] for i, _ in vec)
+        vecs, _ = _closure([vec], step if finite else step_inside)
+        members = sorted(m for m in (_vector_value(v, table, limit) for v in vecs) if m)
+        done.update(members)
+        yield n, members, finite
+
+
 # -- invariant projection and friends -------------------------------------
 
 
@@ -308,56 +349,23 @@ def project_invariant(
     when some index orbit is infinite/unresolved (policy
     ``zero_unresolved``) or raises (policy ``error``).  The window is
     enlarged to cover every orbit touched by the support, so the result is
-    genuinely invariant and the projection idempotent.
-    Index orbits are searched up to max(len(table), the largest index a
-    finite-support generator moves), so only a rule permutation leaves one
-    unresolved; a finite orbit beyond the table raises TableTooSmallError.
+    genuinely invariant and the projection idempotent.  A finite orbit
+    beyond the table raises TableTooSmallError.
     """
     if policy not in ("error", "zero_unresolved"):
         raise ValueError(f"unknown policy {policy!r}")
-    gens = group.generators
-    moved = [i for g in gens if isinstance(g, FiniteSupportPermutation) for i in g.support]
-    bound = max([len(table), *moved])
-
-    def step(vec):
-        for _, image in _images(gens, vec):
-            _vector_value(image, table)  # errors propagate
-            yield image
-
     zero = scalars.zero(f.mode)
     out: dict[int, object] = {}
     window = f.window
-    done: set[int] = set()
-    finite: dict[int, bool] = {}  # prime index -> its orbit is certified finite
-    for n in sorted(f.coeffs):
-        if n in done:
-            continue
-        vec = _entries(n, table)
-        for i, _ in vec:
-            if i not in finite:
-                # every member of an index orbit shares its status
-                orbit, status = index_orbit(gens, i, bound)
-                finite.update(dict.fromkeys(orbit, status == "finite"))
-        if not all(finite[i] for i, _ in vec):
+    for n, members, finite in _orbits(f, group.generators, table):
+        if not finite:
             if policy == "error":
-                raise UnresolvedOrbitError(
-                    f"orbit of a prime index of {n} is not certified finite "
-                    f"within bound {bound}"
-                )
-            done.add(n)
+                raise UnresolvedOrbitError(f"orbit of a prime index of {n} is not certified finite")
             continue
-        # every index orbit is finite, so this closure is finite too
-        vecs, _ = _closure([vec], step)
-        members = sorted(_vector_value(v, table) for v in vecs)
-        total = zero
-        for k in members:
-            total = total + f.coeffs.get(k, zero)
-        avg = total / len(members)
-        for k in members:
-            done.add(k)
-            window = max(window, k)
-            if avg:
-                out[k] = avg
+        avg = sum((f.coeffs.get(k, zero) for k in members), zero) / len(members)
+        window = max(window, members[-1])
+        if avg:
+            out.update(dict.fromkeys(members, avg))
     return TruncatedDirichletSeries(window, out, f.mode)
 
 
@@ -384,9 +392,8 @@ def group_average(
 @dataclass(frozen=True)
 class InvarianceReport:
     status: str  # "invariant" | "violated" | "inconclusive"
-    witness: tuple[int, object] | None  # (n, sigma) for the smallest violating n
+    witness: tuple[int, int] | None  # (n, m): see is_invariant
     checked_pairs: int
-    escaped: bool
 
     def __bool__(self) -> bool:
         return self.status == "invariant"
@@ -395,33 +402,26 @@ class InvarianceReport:
 def is_invariant(
     f: TruncatedDirichletSeries, group: PermutationGroup, table: PrimeTable
 ) -> InvarianceReport:
-    """Check a_{sigma_hat(n)} = a_n for every n in the support, in increasing n.
+    """Decide whether f is the truncation of an invariant series.
 
-    An equal coefficient puts the image in the support too, so one pass
-    over the support checks its whole closure within the window.  The
-    action moves support outward; pairs with an image beyond the window
-    cannot be checked against stored data, so a clean run with escapes
-    reports ``inconclusive`` rather than ``invariant``.  A violation names
-    the smallest violating n.
+    By the window law it is exactly when f is constant on each orbit's
+    members inside the window.  Each orbit meeting the support is walked
+    once, and a_m is compared with a_n for every member m in the window
+    (``checked_pairs`` counts them).  A violation has the witness (n, m):
+    the smallest violating stored n, and the smallest member m of its orbit
+    with a_m != a_n.  An orbit that may be infinite is walked only inside
+    the window, so a clean run that meets one is ``inconclusive``.
     """
     zero = scalars.zero(f.mode)
-    escaped = False
     checked = 0
-    for n in sorted(f.coeffs):
-        for g, image in _images(group.generators, _entries(n, table)):
-            try:
-                m = _vector_value(image, table)
-            except (ProductCeilingError, TableTooSmallError):
-                escaped = True
-                continue
-            if m > f.window:
-                escaped = True
-                continue
+    resolved = True
+    for n, members, finite in _orbits(f, group.generators, table, f.window):
+        resolved = resolved and finite
+        for m in members:
             checked += 1
             if f.coeffs[n] != f.coeffs.get(m, zero):
-                return InvarianceReport("violated", (n, g), checked, escaped)
-    status = "inconclusive" if escaped else "invariant"
-    return InvarianceReport(status, None, checked, escaped)
+                return InvarianceReport("violated", (n, m), checked)
+    return InvarianceReport("invariant" if resolved else "inconclusive", None, checked)
 
 
 def phi_restrict(

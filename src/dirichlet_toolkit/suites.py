@@ -375,16 +375,10 @@ def _lemma91(result: SuiteResult, rng: random.Random, trials: int) -> None:
             _fail(result, "inverse", {"seed": s, "group": name}, "u * inv == 1", "mismatch")
         rep = is_invariant(inv, grp, table)
         checked_pairs += rep.checked_pairs
-        if rep.status == "violated":
-            _fail(
-                result,
-                "invariant-inverse",
-                {"seed": s, "group": name},
-                "no violation",
-                f"witness {rep.witness}",
-            )
-        elif rep.status == "inconclusive":
-            inconclusive += 1
+        inconclusive += rep.status == "inconclusive"
+        if rep.status != "invariant":
+            got = f"{rep.status}, witness {rep.witness}"
+            _fail(result, "invariant-inverse", {"seed": s, "group": name}, "invariant", got)
     result.info = {"inconclusive": inconclusive, "checked_pairs": checked_pairs}
 
 

@@ -71,6 +71,14 @@ def test_build_random_is_seed_deterministic(tmp_path):
     assert read_json(a)["coeffs"] == read_json(b)["coeffs"]
 
 
+@pytest.mark.parametrize("density", ["nan", "-1", "1.5"])
+def test_build_random_rejects_a_density_outside_the_unit_interval(tmp_path, capsys, density):
+    out = tmp_path / "r.json"
+    assert run(["build", "random", "--density", density, "--out", str(out)]) == 2
+    assert "density" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_usage_error(tmp_path):
     assert run(["build", "monomial", "5", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -387,6 +395,16 @@ def test_analyze_seminorm_profile_grid_ends_at_one(tmp_path):
     r_grid = read_json(out)["witness"]["r_grid"]
     assert len(r_grid) == 4
     assert r_grid[-1] == 1.0
+
+
+@pytest.mark.parametrize("spec", ["0.1:0.9:0", "0.1:0.9:-3"])
+def test_analyze_seminorm_profile_rejects_a_grid_without_points(tmp_path, capsys, spec):
+    f = tmp_path / "f.json"
+    run(["build", "monomial", "2", "1", "--out", str(f)])
+    out = tmp_path / "profile.json"
+    assert run(["analyze", "seminorm-profile", str(f), "--r-grid", spec, "--out", str(out)]) == 2
+    assert repr(spec) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_perron_and_cauchy(tmp_path):

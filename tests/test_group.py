@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_toolkit import (
@@ -27,7 +27,7 @@ from dirichlet_toolkit.errors import (
     TableTooSmallError,
     UnresolvedOrbitError,
 )
-from dirichlet_toolkit import group
+from dirichlet_toolkit import group, suites
 from dirichlet_toolkit.group import index_orbit
 
 
@@ -292,26 +292,93 @@ def test_is_invariant_detects_violation(table):
 
 def test_is_invariant_names_the_smallest_violating_n(table):
     # Under (1 2), 2 <-> 3 agree, while 4 -> 9 and 10 -> 15 land on zeros.  The
-    # set of the support iterates 10 before 4, but the one pass in increasing n
-    # checks 2 and 3 (two images each) and stops at 4, its fifth pair.
+    # set of the support iterates 10 before 4, but orbits are walked in
+    # increasing order of their smallest stored n: {2, 3} checks two members,
+    # and {4, 9} stops at 9, the fourth member compared.
     grp = PermutationGroup.from_cycles("(1 2)")
     f = TruncatedDirichletSeries(20, dict.fromkeys([2, 3, 4, 10], ExactComplex(1)))
     assert list(set(f.coeffs)) != sorted(f.coeffs)
     rep = is_invariant(f, grp, table)
     assert rep.status == "violated"
-    assert rep.witness == (4, grp.generators[0])
-    assert rep.checked_pairs == 5
-    assert not rep.escaped
+    assert rep.witness == (4, 9)
+    assert rep.checked_pairs == 4
 
 
-def test_is_invariant_inconclusive_on_window_escape(table):
-    # a_{8} transported by (1 2) lands at 27 > window, so the check cannot
-    # complete; constant-on-window data must not be reported invariant.
+def test_is_invariant_ignores_orbit_members_past_the_window(table):
+    # a_8 transported by (1 2) lands at 27 > window: {8: 1} at window 10 is the
+    # truncation of the invariant 8^-s + 27^-s.
     grp = PermutationGroup.from_cycles("(1 2)")
     f = TruncatedDirichletSeries(10, {8: ExactComplex(1)})
     rep = is_invariant(f, grp, table)
+    assert rep.status == "invariant"
+    assert rep.checked_pairs == 1
+
+
+def test_is_invariant_counts_a_prime_past_a_covering_table_as_past_the_window():
+    # PrimeTable(10) holds p_1..p_4; the orbit of 2 under (1 5) is {2, p_5 = 11},
+    # and a sieve that covers the window puts 11 past it.
+    grp = PermutationGroup.from_cycles("(1 5)")
+    rep = is_invariant(TruncatedDirichletSeries(10, {2: ExactComplex(1)}), grp, PrimeTable(10))
+    assert rep.status == "invariant"
+    assert rep.checked_pairs == 1
+
+
+def test_is_invariant_on_an_infinite_orbit(table):
+    # 2 = p_1 lies on the infinite orbit of the index cycle; its walk inside
+    # window 10 reaches 3, 5 and 7, so a_3 = 0 != a_2 is a violation.
+    grp = PermutationGroup([infinite_index_cycle()])
+    rep = is_invariant(TruncatedDirichletSeries(10, {2: ExactComplex(1)}), grp, table)
+    assert rep.status == "violated"
+    assert rep.witness == (2, 3)
+    assert is_invariant(TruncatedDirichletSeries(10, {1: ExactComplex(1)}), grp, table)
+    constant = dict.fromkeys([2, 3, 5, 7], ExactComplex(1))
+    rep = is_invariant(TruncatedDirichletSeries(10, constant), grp, table)
     assert rep.status == "inconclusive"
-    assert rep.escaped
+
+
+# Integers <= 300 with prime indices <= 8 and Omega <= 3: every orbit under
+# the standard small groups stays below 19^3 < 10_000.
+_SIEVE = PrimeTable(300)
+_SMALL_SUPPORT = [
+    n for n in range(1, 301) if _SIEVE.omega(n) <= 3 and _SIEVE.semigroup_member(n, range(1, 9))
+]
+_SMALL_GROUPS = suites.standard_small_groups()
+_small_series = st.dictionaries(
+    st.sampled_from(_SMALL_SUPPORT),
+    st.builds(ExactComplex, st.integers(-3, 3), st.integers(-3, 3)),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_series, st.integers(0, len(_SMALL_GROUPS) - 1), st.integers(1, 8000))
+def test_a_truncated_projection_is_invariant(table, coeffs, g, window):
+    name, grp = _SMALL_GROUPS[g]
+    pf = project_invariant(TruncatedDirichletSeries(300, coeffs), grp, table)
+    assert is_invariant(pf.truncate(window), grp, table).status == "invariant", name
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _small_series,
+    st.integers(0, len(_SMALL_GROUPS) - 1),
+    st.sampled_from(_SMALL_SUPPORT),
+    st.integers(1, 8000),
+)
+def test_a_perturbed_orbit_is_a_violation(table, coeffs, g, k, window):
+    _, grp = _SMALL_GROUPS[g]
+    orbit = project_invariant(TruncatedDirichletSeries.monomial(k, 1), grp, table).support()
+    members = [m for m in orbit if m <= window]
+    assume(k <= window and len(members) >= 2)
+    pf = project_invariant(TruncatedDirichletSeries(300, coeffs), grp, table).truncate(window)
+    bumped = dict(pf.coeffs)
+    bumped[k] = pf.coefficient(k) + ExactComplex(1)
+    h = TruncatedDirichletSeries(window, bumped)
+    n = min(m for m in members if h.coefficient(m))
+    m = min(m for m in members if h.coefficient(m) != h.coefficient(n))
+    rep = is_invariant(h, grp, table)
+    assert rep.status == "violated"
+    assert rep.witness == (n, m)
 
 
 # -- restriction ----------------------------------------------------------

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from dirichlet_toolkit import suites
+
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 
 
 def test_readme_has_a_python_block():
@@ -23,3 +26,9 @@ def test_readme_block_exits_0(code):
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_lists_each_suite_with_its_default_trial_count():
+    paragraph = re.search(r"^`verify` runs named seeded property suites.*?\n\n", README, re.M | re.S)
+    listed = {name: int(n) for name, n in re.findall(r"`([^`]+)`\s+\((\d+)", paragraph.group())}
+    assert listed == {name: trials for name, (_, trials) in suites.SUITES.items()}
