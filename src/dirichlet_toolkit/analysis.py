@@ -204,6 +204,9 @@ def sigma_u_plus_estimate(f: TruncatedDirichletSeries, table: PrimeTable) -> Sig
     if f.window < 2:
         raise ValueError("window must be >= 2")
     f = f.to_float()
+    l1 = f.l1_norm()
+    if not math.isfinite(l1):
+        raise NumericFailureError(f"the series' l1 sum is {l1}, not finite")
 
     def prefix_sup(prefix: TruncatedDirichletSeries) -> float:
         p = bohr_lift(prefix, table)

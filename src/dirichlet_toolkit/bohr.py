@@ -212,9 +212,9 @@ def bohr_drop(
 
 @dataclass
 class TorusSupResult:
-    """``converged`` certifies the value: p is constant, or the point is a
-    strict local maximum of |p| (a Newton step below 1e-8 and a negative
-    definite Hessian).
+    """``converged`` certifies the value: p is constant, or the Newton step
+    that retired the winning row was at most 1e-8 and the Hessian of |p|^2
+    at ``phases`` is negative definite, so they are a strict local maximum.
     """
 
     value: float
@@ -365,7 +365,7 @@ def _ascend(weights, exps, theta0: np.ndarray) -> np.ndarray:
 
 
 # Newton steps and step halvings per polish, and the longest Newton step
-# (radians) at which the end point still counts as a maximum.
+# (radians) at which a row stops, certified if its Hessian is definite.
 _NEWTON_STEPS = 30
 _BACKTRACKS = 30
 _STEP_TOL = 1e-8
@@ -388,13 +388,13 @@ def _moduli(weights, exps, theta: np.ndarray) -> np.ndarray:
     return np.hypot(re, im)
 
 
-def _newton_rows(w, e, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _newton_rows(w, e, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """The saddle-free Newton step of F = |p|^2 at each row of ``theta``.
 
     ``w`` are the rescaled weights and ``e`` the float exponent rows.
-    Returns the steps of the rows whose Hessian is nonzero, the mask of
-    those rows, and every row's certificate (False where the Hessian is
-    zero, that is where |p| is constant).
+    Returns the mask of the rows whose Hessian is nonzero and, for those
+    rows, the step, its largest component (after the saddle modification,
+    so a saddle never looks finished) and whether H is negative definite.
     """
     ph = w * np.exp(1j * (theta @ e.T))
     v, dv = ph.sum(-1), 1j * (ph @ e)
@@ -407,29 +407,30 @@ def _newton_rows(w, e, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     live = floor > 0
     lam, q, grad, floor = lam[live], q[live], grad[live], floor[live, None]
     coef = (grad[:, None, :] @ q)[:, 0] / np.maximum(np.abs(lam), floor)
-    certified = np.zeros(len(theta), dtype=bool)
-    certified[live] = (lam.min(axis=1) > floor[:, 0]) & (np.abs(coef).max(axis=1) <= _STEP_TOL)
     coef = np.where(lam < -floor, np.copysign(np.maximum(np.abs(coef), 1.0), coef), coef)
-    return (q @ coef[:, :, None])[:, :, 0], live, certified
+    step = (q @ coef[:, :, None])[:, :, 0]
+    return live, step, np.abs(step).max(axis=1), lam.min(axis=1) > floor[:, 0]
 
 
 def _polish_rows(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Saddle-free Newton ascent on F = |p|^2 from each row of ``theta0``.
 
-    Coordinate ascent zigzags slowly along curved ridges; Newton steps with
-    the analytic gradient 2 Re(conj(v) dv) and Hessian
-    2 Re(conj(dv)^T dv + conj(v) d2v) converge the remaining distance.  Each
-    step divides the gradient's components along the eigenvectors of -H by
-    |eigenvalue| (floored at 1e-10 of the largest), so it climbs along
-    every one, and moves at least a unit along each direction of upward
-    curvature, so a start on a saddle leaves it.  Backtracking keeps the
-    first of the step's ``_BACKTRACKS`` halvings that does not lower |p|;
-    a row retires when none does, when its Hessian is zero (|p| constant),
-    or once a step gains at most 1e-16 relative.  All active rows take one
-    stacked ``eigh`` per step and evaluate all their halvings in one
-    product.  The flags certify each end point as a strict local maximum:
-    a Newton step of at most 1e-8 and a negative definite Hessian.
-    Returns the phases, values (as ``_moduli`` gives them) and flags.
+    Newton steps with the analytic gradient 2 Re(conj(v) dv) and Hessian
+    2 Re(conj(dv)^T dv + conj(v) d2v) converge where coordinate ascent
+    zigzags along curved ridges.  Each step divides the gradient's
+    components along the eigenvectors of -H by |eigenvalue| (floored at
+    1e-10 of the largest), and moves at least a unit along each direction
+    of upward curvature, so a start on a saddle leaves it.  The step alone
+    stops and certifies a row: at most 1e-8, the row retires where it
+    stands, flagged iff its Hessian is negative definite.  Else the row
+    keeps the first of the step's ``_BACKTRACKS`` halvings that does not
+    lower |p|, or, with a definite Hessian and a step of at most 1e-4, the
+    full step if it keeps the row's start value: there |p| moves below
+    rounding.  A row retires unflagged when no halving keeps |p|, when its
+    Hessian is zero (|p| constant), after ``_NEWTON_STEPS`` or when a step
+    outside that regime gains at most 1e-16 relative.  Active rows share one
+    stacked ``eigh`` and one product per step.  Returns the phases, values
+    (as ``_moduli`` gives them) and flags.
     """
     e = exps.astype(float)
     theta = np.array(theta0, dtype=float)
@@ -441,23 +442,27 @@ def _polish_rows(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, np.ndar
     w = weights * math.ldexp(1.0, min(-e_max, 1023))
     scales = np.ldexp(1.0, -np.arange(_BACKTRACKS))[:, None]
 
-    value = _moduli(weights, e, theta)
+    start = _moduli(weights, e, theta)
+    value, certified = start.copy(), np.zeros(len(theta), dtype=bool)
     rows = np.arange(len(theta))
     for _ in range(_NEWTON_STEPS):
-        step, live, _ = _newton_rows(w, e, theta[rows])
-        rows = rows[live]
+        live, step, size, definite = _newton_rows(w, e, theta[rows])
+        rows, done = rows[live], size <= _STEP_TOL
+        certified[rows[done]] = definite[done]
+        rows, step, near = rows[~done], step[~done], (definite & (size <= _STEP_TOL**0.5))[~done]
         trials = theta[rows, None, :] + scales * step[:, None, :]
         new = _moduli(weights, e, trials)
         up = new >= value[rows, None]
+        up[:, 0] |= near & (new[:, 0] >= start[rows])
         moved = up.any(axis=1)
         first = np.argmax(up[moved], axis=1)
-        rows, new = rows[moved], new[moved, first]
+        rows, new, near = rows[moved], new[moved, first], near[moved]
         gain = new - value[rows]
         theta[rows], value[rows] = trials[moved, first], new
-        rows = rows[gain > 1e-16 * new]
+        rows = rows[near | (gain > 1e-16 * new)]
         if not len(rows):
             break
-    return theta, value, _newton_rows(w, e, theta)[2]
+    return theta, value, certified
 
 
 # Most phase-grid points that torus_sup and cauchy_coefficient evaluate.
@@ -493,11 +498,15 @@ def torus_sup(
     Ties on the grid break toward the first index in row-major phase order,
     and ties between starts toward the grid start, so results are
     reproducible.  ``converged`` is the polish's certificate at the winning
-    point.
+    point.  A lift whose l1 sum at the radius is not finite raises
+    ``NumericFailureError``.
     """
     if not 0 < radius <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
     pf = p.to_float()
+    l1 = sum(math.hypot(c.real, c.imag) for c in pf.dilate(radius).terms.values())
+    if not math.isfinite(l1):
+        raise NumericFailureError(f"the lift's l1 sum at radius {radius} is {l1}, not finite")
     variables = pf.variables()
     k = len(variables)
     _check_grid(grid_per_var, k)

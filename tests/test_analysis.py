@@ -230,6 +230,17 @@ def test_sigma_u_of_a_series_on_25_primes(table):
     assert est.unclamped == pytest.approx(best, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "coeffs, l1", [({2: 1.0, 3: math.nan}, "nan"), ({2: 1e308, 3: 1e308, 5: 1e308}, "inf")],
+    ids=["nan", "overflowing-sum"],
+)
+def test_sigma_u_rejects_a_nonfinite_l1_sum(table, coeffs, l1):
+    # fails before any prefix sup, not as a value of 0.0 or a LinAlgError
+    f = TruncatedDirichletSeries(10, coeffs, FLOAT)
+    with pytest.raises(NumericFailureError, match=f"the series' l1 sum is {l1}, not finite"):
+        sigma_u_plus_estimate(f, table)
+
+
 # -- seminorms ------------------------------------------------------------
 
 
@@ -246,6 +257,13 @@ def test_seminorm_positive_coefficients_closed_form(table):
     for r in (0.3, 0.7):
         want = 1.0 + 2.0 * r + r * r + 0.5 * r**3
         assert seminorm_Pr(f, r, table) == pytest.approx(want, abs=1e-9)
+
+
+def test_seminorm_rejects_a_nan_coefficient(table):
+    # fails in the torus sup of the lift, which names the radius
+    f = TruncatedDirichletSeries(10, {2: 1.0, 3: math.nan}, FLOAT)
+    with pytest.raises(NumericFailureError, match="l1 sum at radius 0.5 is nan, not finite"):
+        seminorm_Pr(f, 0.5, table)
 
 
 def test_seminorm_profile_and_convexity(table):

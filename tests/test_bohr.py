@@ -26,14 +26,17 @@ from dirichlet_toolkit.bohr import (
     _ascend,
     _check_grid,
     _line_max_rows,
+    _STEP_TOL,
     _moduli,
+    _newton_rows,
     _phase_arrays,
     _polish_rows,
     auto_grid,
 )
-from dirichlet_toolkit.builders import random_series
+from dirichlet_toolkit.builders import random_series, random_support_series
 from dirichlet_toolkit.errors import BudgetExceededError, NumericFailureError, WindowOverflowError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
+from dirichlet_toolkit.suites import _PROP12_R_GRID, _pool
 from oracles import PolydiscPoint, eval_c, partial_sum, poly_eval
 
 
@@ -275,12 +278,30 @@ def _phase_lift(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_phase_lift())
+# |p| is constant up to rounding noise, and the full Newton step lowers it by
+# an ulp: only the comparison with the start value keeps the row from taking it
+@example((np.array([0, 0, 0.01 + 6.13j, 0]), np.array([[2], [3], [2], [1]]), np.array([[0.0]])))
 def test_polish_never_lowers_its_start(lift):
     weights, exps, theta0 = lift
     start = _moduli(weights, exps, theta0)
     theta, value, _ = _polish_rows(weights, exps, theta0)
     assert (value >= start).all()
     assert (value == _moduli(weights, exps, theta)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_lift())
+def test_polish_certifies_the_phases_it_returns(lift):
+    # a certified row is a strict local maximum where it ends: a fresh Newton
+    # evaluation there has a step of at most _STEP_TOL and H negative definite
+    weights, exps, theta0 = lift
+    theta, _, certified = _polish_rows(weights, exps, theta0)
+    e_max = math.frexp(float(np.abs(weights).max()))[1]
+    w = weights * math.ldexp(1.0, min(-e_max, 1023))
+    live, _, size, definite = _newton_rows(w, exps.astype(float), theta)
+    assert live[certified].all()
+    assert (size[certified[live]] <= _STEP_TOL).all()
+    assert definite[certified[live]].all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -348,6 +369,67 @@ def test_torus_sup_opposed_coefficients():
     res = torus_sup(p, 1.0, grid_per_var=16, seed=0)
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert not res.converged
+
+
+def _one_ulp_down(p):
+    """``p`` with the real and imaginary part of every coefficient moved one ulp down."""
+    def down(c):
+        return complex(math.nextafter(c.real, -math.inf), math.nextafter(c.imag, -math.inf))
+
+    return SparseMultiPoly({m: down(complex(c)) for m, c in p.terms.items()}, FLOAT)
+
+
+def test_torus_sup_certificate_survives_a_one_ulp_move():
+    # A well-conditioned strict maximum stays certified when every coefficient
+    # moves one ulp: the polish stops on its Newton step, where that step is
+    # far below 1e-8, not wherever a rule on the gain per step leaves it.
+    p = SparseMultiPoly(
+        {
+            ((1, 2),): 0.24648875648931837 - 0.07747410708881468j,
+            ((1, 2), (2, 1)): -0.16301967130822592 + 0.6375326792327285j,
+            ((1, 3),): 1.012506229505939 - 0.23584769130044916j,
+            ((2, 1),): -0.372203069764369 + 1.8194849263971018j,
+            ((2, 3),): -0.5879103089038681 + 0.046326659856310556j,
+        },
+        FLOAT,
+    )
+    a = torus_sup(p, 0.35, grid_per_var=8, seed=989871427)
+    b = torus_sup(_one_ulp_down(p), 0.35, grid_per_var=8, seed=989871427)
+    assert a.converged and b.converged
+    assert b.value == pytest.approx(a.value, rel=1e-14)
+
+
+def test_torus_sup_certificates_survive_one_ulp_moves_on_a_seminorm_sweep():
+    # prop1.2's lifts at its 17 radii: no certificate depends on the last bit
+    table = PrimeTable(64)
+    pool = _pool(table, 4, 3, 40)
+    flips = []
+    for s in range(12):
+        p = bohr_lift(random_support_series(pool, s, 5, mode=FLOAT), table)
+        q = _one_ulp_down(p)
+        for r in _PROP12_R_GRID:
+            if torus_sup(p, r).converged != torus_sup(q, r).converged:
+                flips.append((s, r))
+    assert flips == []
+
+
+@pytest.mark.parametrize(
+    "coeffs, l1",
+    [({2: 1.0, 3: math.nan}, "nan"), ({1: math.nan}, "nan"), ({2: 1e308, 3: 1e308, 5: 1e308}, "inf")],
+    ids=["nan", "nan-constant", "overflowing-sum"],
+)
+def test_torus_sup_rejects_a_nonfinite_l1_sum(table, coeffs, l1):
+    # a NaN or an overflowing l1 sum fails before the grid, with no NaN value,
+    # LinAlgError or RuntimeWarning on the way
+    p = bohr_lift(TruncatedDirichletSeries(10, coeffs, FLOAT), table)
+    with pytest.raises(NumericFailureError, match=f"l1 sum at radius 1.0 is {l1}, not finite"):
+        torus_sup(p)
+
+
+def test_torus_sup_takes_the_l1_sum_at_its_radius(table):
+    # three 1e308 terms overflow at radius 1 but not at radius 0.5
+    p = bohr_lift(TruncatedDirichletSeries(10, {2: 1e308, 3: 1e308, 5: 1e308}, FLOAT), table)
+    assert torus_sup(p, 0.5).value == pytest.approx(1.5e308, rel=1e-12)
 
 
 def test_import_leaves_scipy_out():
