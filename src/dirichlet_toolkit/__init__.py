@@ -32,7 +32,7 @@ from .group import (
     phi_restrict,
     project_invariant,
 )
-from .primes import Factorization, PrimeTable
+from .primes import PrimeTable
 from .scalars import EXACT, FLOAT, ExactComplex
 from .series import TruncatedDirichletSeries
 
@@ -42,7 +42,6 @@ __all__ = [
     "EXACT",
     "FLOAT",
     "ExactComplex",
-    "Factorization",
     "FiniteSupportPermutation",
     "PermutationGroup",
     "PrimeTable",

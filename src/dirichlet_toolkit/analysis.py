@@ -257,16 +257,11 @@ def seminorm_Pr(
     return torus_sup(bohr_lift(f.to_float(), table), r, seed=seed).value
 
 
-@dataclass
-class SeminormProfile:
-    r_grid: list[float]
-    values: list[float]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.r_grid, self.r_grid[1:])):
-            raise ValueError("r grid must be strictly increasing")
-        if any(v < 0 for v in self.values):
-            raise ValueError("seminorm values must be nonnegative")
+def _check_r_grid(r_grid) -> None:
+    """ValueError unless 0 < r_1 < r_2 < ... <= 1; a NaN point fails too."""
+    increasing = all(a < b for a, b in zip([0.0, *r_grid], r_grid))
+    if not (increasing and all(r <= 1 for r in r_grid)):
+        raise ValueError(f"r grid must be strictly increasing inside (0, 1], got {r_grid}")
 
 
 def seminorm_profile(
@@ -274,10 +269,12 @@ def seminorm_profile(
     r_grid,
     table: PrimeTable,
     seed: int = 0,
-) -> SeminormProfile:
+) -> list[float]:
+    """P_r(f) at each r of a grid strictly increasing inside (0, 1], which is
+    checked before any sup is computed."""
     r_grid = [float(r) for r in r_grid]
-    values = [seminorm_Pr(f, r, table, seed) for r in r_grid]
-    return SeminormProfile(r_grid, values)
+    _check_r_grid(r_grid)
+    return [seminorm_Pr(f, r, table, seed) for r in r_grid]
 
 
 @dataclass
@@ -291,20 +288,24 @@ class ConvexityReport:
 CONVEXITY_TOL = 1e-6
 
 
-def convexity_check(profile: SeminormProfile) -> ConvexityReport:
+def convexity_check(r_grid, values) -> ConvexityReport:
     """Convexity of log P against log r: chord defects at interior points.
 
     Pass iff every defect >= -CONVEXITY_TOL and the first differences of
     log P are >= -CONVEXITY_TOL (monotone nondecreasing).  Requires >= 3
-    grid points with strictly positive values.
+    points of a grid as ``seminorm_profile`` takes, with strictly positive
+    values.
     """
     tol = CONVEXITY_TOL
-    if len(profile.r_grid) < 3:
+    _check_r_grid(r_grid)
+    if len(r_grid) < 3:
         raise ValueError("need at least 3 grid points")
-    if any(v <= 0 for v in profile.values):
+    if len(values) != len(r_grid):
+        raise ValueError(f"{len(values)} values for {len(r_grid)} grid points")
+    if any(v <= 0 for v in values):
         raise ValueError("convexity check requires strictly positive values")
-    ts = [math.log(r) for r in profile.r_grid]
-    ls = [math.log(v) for v in profile.values]
+    ts = [math.log(r) for r in r_grid]
+    ls = [math.log(v) for v in values]
     diffs = [b - a for a, b in zip(ls, ls[1:])]
     defects = []
     for i in range(1, len(ts) - 1):

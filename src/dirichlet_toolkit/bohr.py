@@ -22,13 +22,9 @@ from .errors import (
     TableTooSmallError,
     WindowOverflowError,
 )
-from .primes import Factorization, PrimeTable
+from .primes import Monomial, PrimeTable
 from .scalars import EXACT, FLOAT
 from .series import TruncatedDirichletSeries
-
-# Exponent vectors are canonical tuples of (variable_index, exponent) pairs,
-# sorted by index, exponents >= 1.  The constant monomial is the empty tuple.
-Monomial = tuple[tuple[int, int], ...]
 
 
 def _canonical(exponents) -> Monomial:
@@ -184,7 +180,7 @@ def bohr_lift(f: TruncatedDirichletSeries, table: PrimeTable) -> SparseMultiPoly
         )
     terms = {}
     for n, c in f.coeffs.items():
-        terms[table.factor(n).entries] = c
+        terms[table.factor(n)] = c
     return SparseMultiPoly(terms, f.mode)
 
 
@@ -195,7 +191,7 @@ def bohr_drop(
     coeffs = {}
     max_n = 1
     for mono, c in p.terms.items():
-        n = Factorization(mono).value(table)
+        n = table.value(mono)
         if n > table.bound:
             raise WindowOverflowError(
                 f"monomial {mono} corresponds to {n} > table bound {table.bound}"
@@ -572,7 +568,7 @@ def cauchy_coefficient(
     if not 0 < radius <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
     pf = bohr_lift(f, table).to_float()
-    target = table.factor(n).as_dict()
+    target = dict(table.factor(n))
     variables = sorted(set(pf.variables()) | set(target))
     g = 1 + max([*pf.degree_per_variable().values(), *target.values()], default=0)
     _check_grid(g, len(variables))

@@ -28,7 +28,7 @@ from .group import (
     phi_restrict,
     project_invariant,
 )
-from .primes import Factorization, PrimeTable
+from .primes import PrimeTable
 from .scalars import EXACT, FLOAT, scalar_from_json
 from .series import TruncatedDirichletSeries
 
@@ -64,7 +64,7 @@ def _drop_table(p: bohr.SparseMultiPoly) -> PrimeTable:
     ``TableTooSmallError``; a monomial integer beyond it, ``WindowOverflowError``.
     """
     small = _table_for(2, max(p.variables(), default=0))
-    largest = max((Factorization(m).value(small) for m in p.terms), default=1)
+    largest = max((small.value(m) for m in p.terms), default=1)
     if largest > _MAX_TABLE:
         raise WindowOverflowError(f"monomial integer {largest} beyond the sieve limit {_MAX_TABLE}")
     return small if largest <= small.bound else _table_for(largest)
@@ -226,16 +226,16 @@ def cmd_analyze(args, argv) -> int:
         value, tolerance, witness = est.value, None, est.as_record()
     elif args.kind == "seminorm-profile":
         grid = _parse_r_grid(args.r_grid)
-        profile = analysis.seminorm_profile(f, grid, table, seed=args.seed)
+        values = analysis.seminorm_profile(f, grid, table, seed=args.seed)
         if args.out and args.out.endswith(".csv"):
             with open(args.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["r", "value", "tolerance"])
-                for r, v in zip(profile.r_grid, profile.values):
+                for r, v in zip(grid, values):
                     writer.writerow([r, v, analysis.CONVEXITY_TOL])
             return 0
-        value, tolerance = profile.values, analysis.CONVEXITY_TOL
-        witness = {"r_grid": profile.r_grid}
+        value, tolerance = values, analysis.CONVEXITY_TOL
+        witness = {"r_grid": grid}
     elif args.kind == "perron":
         res = analysis.perron_recover(f, args.n, args.kappa, args.R, args.steps)
         value = [res.value.real, res.value.imag]

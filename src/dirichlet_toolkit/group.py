@@ -16,7 +16,7 @@ from functools import partial
 from itertools import combinations_with_replacement
 
 from . import scalars
-from .bohr import SparseMultiPoly, _canonical
+from .bohr import SparseMultiPoly
 from .errors import (
     GroupTooLargeError,
     ProductCeilingError,
@@ -247,7 +247,7 @@ def _entries(n: int, table: PrimeTable):
     """The exponent vector of a stored n; TableTooSmallError once n passes the sieve."""
     if n > table.bound:
         raise TableTooSmallError(f"stored n = {n} beyond the prime table's sieve bound {table.bound}")
-    return table.factor(n).entries
+    return table.factor(n)
 
 
 def hat_apply(sigma, n: int, table: PrimeTable) -> int:
@@ -276,7 +276,7 @@ def act(sigma, f: TruncatedDirichletSeries, table: PrimeTable) -> TruncatedDiric
 def _images(generators, entries):
     """Yield the exponent vector moved by each generator g and by g^-1.
 
-    Vectors are sorted (index, exponent) tuples, as in ``Factorization.entries``.
+    Vectors are sorted (index, exponent) tuples, as ``PrimeTable.factor`` returns them.
     """
     for g in generators:
         for h in (g, g.inv):
@@ -443,24 +443,25 @@ def invariant_orbit_sums(
     """Spanning invariants: one orbit sum per monomial orbit of degree <= d.
 
     Monomials in x_1..x_M are permuted through the variable indices; each
-    orbit contributes the sum of its monomials with coefficient 1.
+    orbit, walked from its first monomial under the generators and their
+    inverses, contributes the sum of its monomials with coefficient 1.  A
+    generator that moves an index of a monomial past M raises ValueError.
     """
-    elements = group.elements()
+
+    def step(mono):
+        for image in _images(group.generators, mono):
+            yield image if all(i <= M for i, _ in image) else None
+
     seen: set = set()
     sums: list[SparseMultiPoly] = []
     for d in range(degree + 1):
         for variables in combinations_with_replacement(range(1, M + 1), d):
-            mono = _canonical(Counter(variables))
+            mono = tuple(sorted(Counter(variables).items()))
             if mono in seen:
                 continue
-            orbit = set()
-            for el in elements:
-                img = _canonical({el(i): e for i, e in mono})
-                if any(i > M for i, _ in img):
-                    raise ValueError(
-                        f"group moves variable index beyond M={M}"
-                    )
-                orbit.add(img)
+            orbit, escaped = _closure([mono], step)
+            if escaped:
+                raise ValueError(f"group moves variable index beyond M={M}")
             seen.update(orbit)
-            sums.append(SparseMultiPoly({m: 1 for m in orbit}, EXACT))
+            sums.append(SparseMultiPoly(dict.fromkeys(orbit, 1), EXACT))
     return sums

@@ -1,15 +1,15 @@
-"""Prime sieve, factorization and multiplicative bookkeeping.
+"""Prime sieve and the exponent vectors of integers.
 
 Every other module factors integers through a shared :class:`PrimeTable`.
-Factorizations are expressed in 1-based prime *indices* (p_1 = 2, p_2 = 3,
-...) rather than raw primes, because the permutation action downstream
-permutes indices.
+``PrimeTable.factor(n)`` returns the exponent vector of n, a
+:data:`Monomial`: the sorted ``((index, exponent), ...)`` pairs over
+1-based prime *indices* (p_1 = 2, p_2 = 3, ...) rather than raw primes,
+because the permutation action permutes indices and the Bohr lift reads
+the same vector as a monomial.  ``PrimeTable.value`` maps a vector back.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -17,24 +17,9 @@ import numpy as np
 from .errors import TableTooSmallError
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Sorted list of (prime_index, exponent) pairs, exponents >= 1."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def omega(self) -> int:
-        return sum(e for _, e in self.entries)
-
-    def value(self, table: "PrimeTable") -> int:
-        n = 1
-        for i, e in self.entries:
-            n *= table.prime(i) ** e
-        return n
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
+# Exponent vectors are canonical tuples of (index, exponent) pairs, sorted by
+# index, exponents >= 1.  The vector of 1 (the constant monomial) is empty.
+Monomial = tuple[tuple[int, int], ...]
 
 
 class PrimeTable:
@@ -71,17 +56,12 @@ class PrimeTable:
             )
         return self.primes[i - 1]
 
-    def pi(self, x: float) -> int:
-        """Prime counting function for x <= bound."""
-        if x > self.bound:
-            raise TableTooSmallError(f"pi({x}) beyond sieve bound {self.bound}")
-        return bisect_right(self.primes, x)
-
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.bound:
             raise ValueError(f"n = {n} out of table range [1, {self.bound}]")
 
-    def factor(self, n: int) -> Factorization:
+    def factor(self, n: int) -> Monomial:
+        """The exponent vector of n."""
         self._check_range(n)
         entries = []
         while n > 1:
@@ -91,13 +71,20 @@ class PrimeTable:
                 n //= p
                 e += 1
             entries.append((self.index_of[p], e))
-        return Factorization(tuple(entries))
+        return tuple(entries)
+
+    def value(self, vector: Monomial) -> int:
+        """The integer prod p_i^{e_i}; TableTooSmallError for an index past the table."""
+        n = 1
+        for i, e in vector:
+            n *= self.prime(i) ** e
+        return n
 
     def omega(self, n: int) -> int:
         """Number of prime factors counted with multiplicity."""
-        return self.factor(n).omega
+        return sum(e for _, e in self.factor(n))
 
     def semigroup_member(self, n: int, index_set) -> bool:
         """True iff every prime factor of n has its index in index_set."""
         index_set = set(index_set)
-        return all(i in index_set for i, _ in self.factor(n).entries)
+        return all(i in index_set for i, _ in self.factor(n))

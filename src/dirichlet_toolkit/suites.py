@@ -74,8 +74,8 @@ def _pool(table: PrimeTable, max_index: int, max_omega: int, limit: int) -> list
     """Integers <= limit whose prime indices are <= max_index, Omega <= max_omega."""
     out = []
     for n in range(2, limit + 1):
-        fac = table.factor(n)
-        if fac.omega <= max_omega and all(i <= max_index for i, _ in fac.entries):
+        vec = table.factor(n)
+        if sum(e for _, e in vec) <= max_omega and all(i <= max_index for i, _ in vec):
             out.append(n)
     return out
 
@@ -298,8 +298,8 @@ def _prop12(result: SuiteResult, rng: random.Random, trials: int) -> None:
     for _ in range(trials):
         s = rng.randrange(1 << 30)
         f = random_support_series(pool, s, 5, mode=FLOAT)
-        profile = analysis.seminorm_profile(f, _PROP12_R_GRID, table, seed=s)
-        report = analysis.convexity_check(profile)
+        values = analysis.seminorm_profile(f, _PROP12_R_GRID, table, seed=s)
+        report = analysis.convexity_check(_PROP12_R_GRID, values)
         if not report.passed:
             _fail(
                 result,
@@ -393,7 +393,7 @@ def _eq28(result: SuiteResult, rng: random.Random, trials: int) -> None:
         f = random_support_series(pool, s, 6, mode=FLOAT)
         p = bohr.bohr_lift(f, table)
         n = rng.choice(sorted(f.coeffs) + [rng.randint(1, 64)])
-        if any(i > 4 for i, _ in table.factor(n).entries):
+        if any(i > 4 for i, _ in table.factor(n)):
             n = rng.choice(sorted(f.coeffs))
         r = 0.3 + 0.5 * rng.random()
         got = bohr.cauchy_coefficient(f, n, table, r)

@@ -21,7 +21,6 @@ from dirichlet_toolkit import (
 )
 from dirichlet_toolkit import analysis
 from dirichlet_toolkit.analysis import (
-    SeminormProfile,
     SigmaUEstimate,
     _golden_max,
     _line_values,
@@ -269,21 +268,31 @@ def test_seminorm_rejects_a_nan_coefficient(table):
 def test_seminorm_profile_and_convexity(table):
     f = TruncatedDirichletSeries(20, {2: 1.0 + 1j, 6: -0.5, 9: 2.0j}, FLOAT)
     grid = [0.1 + 0.1 * i for i in range(9)]
-    profile = seminorm_profile(f, grid, table, seed=3)
-    report = convexity_check(profile)
+    values = seminorm_profile(f, grid, table, seed=3)
+    assert values == [seminorm_Pr(f, r, table, 3) for r in grid]
+    report = convexity_check(grid, values)
     assert report.passed
     assert report.monotone
 
 
 def test_convexity_check_rejects_bad_profile():
-    profile = SeminormProfile([0.1, 0.2, 0.4], [1.0, 8.0, 9.0])
-    report = convexity_check(profile)
+    report = convexity_check([0.1, 0.2, 0.4], [1.0, 8.0, 9.0])
     assert not report.passed  # log-concave bump violates convexity
+    with pytest.raises(ValueError, match="strictly increasing"):
+        convexity_check([0.1, 0.4, 0.2], [1.0, 8.0, 9.0])
+    with pytest.raises(ValueError, match="3 values for 4 grid points"):
+        convexity_check([0.1, 0.2, 0.4, 0.8], [1.0, 8.0, 9.0])
 
 
-def test_seminorm_profile_validation():
-    with pytest.raises(ValueError):
-        SeminormProfile([0.2, 0.1], [1.0, 1.0])
+def test_seminorm_profile_validation(table, monkeypatch):
+    # each bad grid fails before the first sup runs
+    calls = []
+    monkeypatch.setattr(analysis, "torus_sup", lambda *a, **k: calls.append(a))
+    f = TruncatedDirichletSeries(10, {2: 1.0, 3: 0.5}, "float")
+    for grid in ([0.2, 0.1], [0.1, 0.1], [0.0, 0.5], [-0.5, 0.5], [0.5, 1.5], [0.5, math.nan]):
+        with pytest.raises(ValueError, match=r"strictly increasing inside \(0, 1\]"):
+            seminorm_profile(f, grid, table)
+    assert calls == []
 
 
 # -- Perron recovery ------------------------------------------------------

@@ -561,7 +561,7 @@ def test_cauchy_matches_dft_orthogonality_oracle(table):
                 complex(c) * z[1] ** d1 * z[2] ** d2
                 for m, c in f.coeffs.items()
                 for d1, d2 in [
-                    (table.factor(m).as_dict().get(1, 0), table.factor(m).as_dict().get(2, 0))
+                    (dict(table.factor(m)).get(1, 0), dict(table.factor(m)).get(2, 0))
                 ]
             )
             total += val * np.exp(-2j * np.pi * (j1 + j2) / g)

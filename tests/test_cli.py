@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirichlet_toolkit import TruncatedDirichletSeries, cli, suites
+from dirichlet_toolkit import TruncatedDirichletSeries, analysis, cli, suites
 from dirichlet_toolkit.cli import main
 
 
@@ -404,6 +404,22 @@ def test_analyze_seminorm_profile_rejects_a_grid_without_points(tmp_path, capsys
     out = tmp_path / "profile.json"
     assert run(["analyze", "seminorm-profile", str(f), "--r-grid", spec, "--out", str(out)]) == 2
     assert repr(spec) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0.9:0.1:17", "0.5:0.5:3"])
+def test_analyze_seminorm_profile_rejects_a_bad_grid_before_any_sup(
+    tmp_path, capsys, monkeypatch, spec
+):
+    # a decreasing grid, and a grid with a point above r = 1
+    calls = []
+    monkeypatch.setattr(analysis, "torus_sup", lambda *a, **k: calls.append(a))
+    f = tmp_path / "z.json"
+    run(["build", "zeta", "--window", "10", "--mode", "float", "--out", str(f)])
+    out = tmp_path / "profile.json"
+    assert run(["analyze", "seminorm-profile", str(f), "--r-grid", spec, "--out", str(out)]) == 2
+    assert "strictly increasing inside (0, 1]" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

@@ -418,3 +418,34 @@ def test_orbit_sums_are_invariant():
     for p in invariant_orbit_sums(3, 3, grp):
         for el in grp.elements():
             assert p.permute_variables(el) == p
+
+
+def test_orbit_sums_need_no_enumeration():
+    # S_8 has 40320 elements, past ENUMERATION_CAP, but its orbits are walked
+    grp = PermutationGroup.from_cycles("(1 2 3 4 5 6 7 8)", "(1 2)")
+    with pytest.raises(GroupTooLargeError):
+        grp.elements()
+    sums = invariant_orbit_sums(8, 3, grp)
+    # one sum per partition of d <= 3: 1, x1, x1^2, x1 x2, x1^3, x1^2 x2, x1 x2 x3
+    assert len(sums) == 7
+    assert [len(p.terms) for p in sums] == [1, 8, 8, 28, 8, 56, 56]
+
+
+def test_orbit_sums_reject_an_index_past_M():
+    with pytest.raises(ValueError, match="beyond M=3"):
+        invariant_orbit_sums(3, 2, PermutationGroup.from_cycles("(3 4)"))
+    with pytest.raises(ValueError, match="beyond M=3"):
+        invariant_orbit_sums(3, 2, PermutationGroup([infinite_index_cycle()]))
+
+
+@pytest.mark.parametrize("name,grp", _SMALL_GROUPS, ids=[n for n, _ in _SMALL_GROUPS])
+def test_orbit_sums_match_the_element_orbits(name, grp):
+    # oracle: the orbit of each monomial is its image under every element
+    sums = invariant_orbit_sums(8, 3, grp)
+    orbits = {
+        frozenset(tuple(sorted((el(i), e) for i, e in mono)) for el in grp.elements())
+        for p in sums
+        for mono in p.terms
+    }
+    assert orbits == {frozenset(p.terms) for p in sums}
+    assert len(set().union(*orbits)) == sum(len(p.terms) for p in sums) == 165  # C(8 + 3, 3)

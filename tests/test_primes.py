@@ -6,7 +6,6 @@ that shares no code with the sieve.
 
 import pytest
 
-from dirichlet_toolkit import PrimeTable
 from dirichlet_toolkit.errors import TableTooSmallError
 
 
@@ -47,33 +46,19 @@ def test_prime_indexing_is_one_based(table_small):
     assert table_small.index_of[97] == 25
 
 
-def test_pi_counts(table_small):
-    assert table_small.pi(1) == 0
-    assert table_small.pi(2) == 1
-    assert table_small.pi(10) == 4
-    assert table_small.pi(100) == 25
-    assert table_small.pi(1000) == 168
-
-
-def test_pi_large():
-    table = PrimeTable(1_000_000)
-    assert table.pi(1_000_000) == 78_498
-
-
 @pytest.mark.parametrize("n", [2, 12, 60, 97, 128, 720, 997, 1000])
 def test_factor_against_trial_division(table_small, n):
-    fac = table_small.factor(n)
+    vec = table_small.factor(n)
     oracle = trial_division_factor(n)
-    got = {table_small.prime(i): e for i, e in fac.entries}
-    assert got == oracle
-    assert fac.value(table_small) == n
+    assert [i for i, _ in vec] == sorted(i for i, _ in vec)
+    assert {table_small.prime(i): e for i, e in vec} == oracle
+    assert table_small.value(vec) == n
 
 
 def test_factor_one(table_small):
-    fac = table_small.factor(1)
-    assert fac.entries == ()
-    assert fac.omega == 0
-    assert fac.value(table_small) == 1
+    assert table_small.factor(1) == ()
+    assert table_small.omega(1) == 0
+    assert table_small.value(()) == 1
 
 
 def test_omega_counts_with_multiplicity(table_small):
@@ -93,8 +78,8 @@ def test_factor_out_of_range(table_small):
         table_small.factor(0)
     with pytest.raises(TableTooSmallError):
         table_small.prime(200)
-    with pytest.raises(TableTooSmallError):
-        table_small.pi(5000)
+    with pytest.raises(TableTooSmallError, match="prime index 200 beyond table"):
+        table_small.value(((1, 1), (200, 1)))
 
 
 def test_semigroup_member(table_small):
@@ -107,4 +92,6 @@ def test_semigroup_member(table_small):
 
 
 def test_factorization_as_dict(table_small):
-    assert table_small.factor(12).as_dict() == {1: 2, 2: 1}
+    # the vector is the sorted items of its dict: 12 = p_1^2 p_2
+    assert table_small.factor(12) == ((1, 2), (2, 1))
+    assert dict(table_small.factor(12)) == {1: 2, 2: 1}
