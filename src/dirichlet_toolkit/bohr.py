@@ -277,86 +277,43 @@ def _grid_values(
     return vals, weights, exps
 
 
-def _line_max_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact max of |sum_j coeffs[s, j] z^j| over |z| = 1, and a phase that
-    attains it, for each row s of the (S, d + 1) array ``coeffs``.
-
-    Degrees 0 and 1 are closed forms: |c0| + |c1| at the phase
-    arg c0 - arg c1, where a zero coefficient leaves phase 0.  Above that,
-    each row is scaled by a power of two (exact) to a largest modulus near
-    1, so its products neither under- nor overflow.  The squared modulus
-    F(t) = sum_m A_m e^{imt} is a trigonometric polynomial, and the
-    critical phases are the roots of z^d F'(t) on the unit circle.  A row's
-    trim k counts the leading entries of z^d F', up to d, at or below
-    max(1e-12 max|z^d F'|, 1e-200), and drops them and their mirror entries
-    (|A_{-m}| = |A_m|).  Their roots lie near 0 and infinity, off the
-    circle, and could overflow the companion matrix; with A_0 near 1 after
-    the rescale, entries at 1e-200 move F by nothing a double holds.  The
-    trimmed polynomial never leads with a zero.  The rows of each trim share
-    one stacked ``eigvals`` on companion matrices of degree 2(d - k), built
-    as ``np.roots`` builds them.  A row with k = d (zero, or a single
-    nonzero coefficient) has a constant modulus and an empty companion
-    matrix.  Each row's candidates are phase 0 and the angles of its roots
-    on the unit circle, in that order, so ties go to phase 0.
-    """
-    count, n = coeffs.shape
-    d = n - 1
-    if d <= 1:
-        c0 = coeffs[:, 0]
-        c1 = coeffs[:, 1] if d == 1 else np.zeros_like(c0)
-        t = np.arctan2(c0.imag, c0.real) - np.arctan2(c1.imag, c1.real)
-        return np.abs(c0) + np.abs(c1), np.where((c0 != 0) & (c1 != 0), t, 0.0)
-    e = np.frexp(np.abs(coeffs).max(axis=1))[1]
-    c = coeffs * np.ldexp(1.0, np.minimum(-e, 1023))[:, None]
-    # Autocorrelation A_m = sum_j c_j conj(c_{j-m}), m = -d..d, of every row.
-    a = np.zeros((count, 2 * d + 1), dtype=np.complex128)
-    flipped = np.conj(c[:, ::-1])
-    for j in range(n):
-        a[:, j : j + n] += c[:, j : j + 1] * flipped
-    # z^d F'(t) = sum_m i m A_m z^{m+d}, highest power first
-    p = (1j * np.arange(-d, d + 1) * a)[:, ::-1]
-    mag = np.abs(p[:, :d])
-    small = mag <= np.maximum(1e-12 * mag.max(axis=1, keepdims=True), 1e-200)
-    trims = np.logical_and.accumulate(small, axis=1).sum(axis=1)
-    values, phases = np.empty(count), np.empty(count)
-    for k in set(trims.tolist()):
-        rows = trims == k
-        q, deg = p[rows, k : 2 * d + 1 - k], 2 * (d - k)
-        companion = np.zeros((len(q), deg, deg), dtype=np.complex128)
-        companion[:] = np.eye(deg, k=-1)
-        companion[:, :1] = -q[:, None, 1:] / q[:, None, :1]
-        roots = np.linalg.eigvals(companion)
-        t = np.concatenate((np.zeros((len(q), 1)), np.angle(roots)), axis=1)
-        vals = np.abs(np.exp(1j * (t[:, :, None] * np.arange(n))) @ coeffs[rows, :, None])[:, :, 0]
-        vals[:, 1:][np.abs(np.abs(roots) - 1.0) >= 1e-6] = -np.inf
-        best = np.argmax(vals, axis=1)
-        picked = np.arange(len(q))
-        values[rows], phases[rows] = vals[picked, best], t[picked, best]
-    return values, phases
+# The ascent samples M = 16(d + 1) phases along an axis of degree d.  |p|^2
+# on the axis is a trigonometric polynomial F of degree d, so Bernstein's
+# inequality bounds |F''| by d^2 max F.  One sample lies within pi/M of the
+# line maximum, where F is at least (1 - (pi d / M)^2 / 2) max F: the best
+# sample is at least sqrt(1 - (pi d / M)^2 / 2) > 0.99 of the line maximum.
+_SAMPLES_PER_DEGREE = 16
 
 
 def _ascend(weights, exps, theta0: np.ndarray) -> np.ndarray:
-    """One sweep of exact line maximization along each phase coordinate in
-    turn, from the starts in the rows of ``theta0`` at once.
+    """One sweep along each phase coordinate in turn, from the starts in the
+    rows of ``theta0`` at once; the polish, not this sweep, makes the value.
 
-    ``(weights, exps)`` is the lift from ``_phase_arrays``.  Along each axis
-    every row's univariate coefficients come from one product with a
-    one-hot (terms, degree + 1) matrix, and one ``_line_max_rows`` call
-    maximizes them all, whatever their scale or zero end coefficients.  A
-    row takes the line maximum only when it is at least the row's current
-    value.  Returns the phases, for ``_polish_rows`` to take as its starts.
+    ``(weights, exps)`` is the lift from ``_phase_arrays``.  Along an axis
+    of degree d, each row's terms collapse, by their power of
+    z = e^{i theta_axis}, into d + 1 coefficients, and ``_moduli`` samples
+    that polynomial at 16(d + 1) equally spaced phases, phase 0 first.  A
+    row moves to its best sample (the first of equal ones) only when that
+    is at least its current value.  Every sum runs elementwise along a row,
+    so no row depends on the batch.  Returns the phases, for
+    ``_polish_rows`` to take as its starts.
     """
     theta = np.array(theta0, dtype=float)
-    e = exps.T.astype(float)
-    current = np.abs(np.exp(1j * (theta @ e)) @ weights)
+    current = _moduli(weights, exps, theta)
     for axis, col in enumerate(exps.T):
-        hot = (col[:, None] == np.arange(col.max() + 1)).astype(float)
-        # Coefficients of each row's polynomial in z = e^{i theta_axis}.
-        ph = weights * np.exp(1j * (theta @ e - theta[:, axis : axis + 1] * e[axis]))
-        v, t = _line_max_rows(ph @ hot)
+        powers = np.arange(col.max() + 1)
+        m = _SAMPLES_PER_DEGREE * len(powers)
+        samples = 2.0 * np.pi * np.arange(m) / m
+        rest = theta.copy()
+        rest[:, axis] = 0.0
+        hot = col[:, None] == powers
+        re, im = ((part[:, :, None] * hot).sum(axis=1) for part in _terms(weights, exps, rest))
+        vals = _moduli((re + 1j * im)[:, None, :], powers[:, None], samples[:, None])
+        best = np.argmax(vals, axis=1)
+        v = vals.max(axis=1)
         up = v >= current
         current[up] = v[up]
-        theta[up, axis] = t[up] % (2.0 * np.pi)
+        theta[up, axis] = samples[best[up]]
     return theta
 
 
@@ -367,6 +324,17 @@ _BACKTRACKS = 30
 _STEP_TOL = 1e-8
 
 
+def _terms(weights, exps, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of each term of p at each phase vector in
+    the last axis of ``theta``, by elementwise real products alone.
+    """
+    phase = theta[..., :1] * exps[:, 0]
+    for a in range(1, exps.shape[1]):
+        phase = phase + theta[..., a : a + 1] * exps[:, a]
+    cos, sin = np.cos(phase), np.sin(phase)
+    return weights.real * cos - weights.imag * sin, weights.real * sin + weights.imag * cos
+
+
 def _moduli(weights, exps, theta: np.ndarray) -> np.ndarray:
     """|p| at each phase vector in the last axis of ``theta``.
 
@@ -375,25 +343,26 @@ def _moduli(weights, exps, theta: np.ndarray) -> np.ndarray:
     position in the batch: a matrix product or a complex product may round
     a row differently from the same row alone.
     """
-    phase = theta[..., :1] * exps[:, 0]
-    for a in range(1, exps.shape[1]):
-        phase = phase + theta[..., a : a + 1] * exps[:, a]
-    cos, sin = np.cos(phase), np.sin(phase)
-    re = (weights.real * cos - weights.imag * sin).sum(-1)
-    im = (weights.real * sin + weights.imag * cos).sum(-1)
-    return np.hypot(re, im)
+    re, im = _terms(weights, exps, theta)
+    return np.hypot(re.sum(-1), im.sum(-1))
 
 
 def _newton_rows(w, e, theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """The saddle-free Newton step of F = |p|^2 at each row of ``theta``.
 
     ``w`` are the rescaled weights and ``e`` the float exponent rows.
+    The terms come from ``_terms`` and v and dv are elementwise sums over
+    them; the other products are of each row's own stacked matrices.  So
+    a row's step and certificate do not depend on the rows that share its
+    batch, which a product across the batch, such as ``theta @ e.T``, may
+    round differently.
     Returns the mask of the rows whose Hessian is nonzero and, for those
     rows, the step, its largest component (after the saddle modification,
     so a saddle never looks finished) and whether H is negative definite.
     """
-    ph = w * np.exp(1j * (theta @ e.T))
-    v, dv = ph.sum(-1), 1j * (ph @ e)
+    re, im = _terms(w, e, theta)
+    ph = re + 1j * im
+    v, dv = ph.sum(-1), 1j * (ph[:, :, None] * e).sum(1)
     cv = np.conj(v)
     grad = 2.0 * np.real(cv[:, None] * dv)
     d2v = -((e.T * ph[:, None, :]) @ e)
@@ -425,8 +394,8 @@ def _polish_rows(weights, exps, theta0: np.ndarray) -> tuple[np.ndarray, np.ndar
     rounding.  A row retires unflagged when no halving keeps |p|, when its
     Hessian is zero (|p| constant), after ``_NEWTON_STEPS`` or when a step
     outside that regime gains at most 1e-16 relative.  Active rows share one
-    stacked ``eigh`` and one product per step.  Returns the phases, values
-    (as ``_moduli`` gives them) and flags.
+    stacked ``eigh`` per step.  Returns the phases, values (as ``_moduli``
+    gives them) and flags.
     """
     e = exps.astype(float)
     theta = np.array(theta0, dtype=float)
@@ -488,14 +457,16 @@ def torus_sup(
     """Certified lower bound on sup |p| over the torus of the given radius.
 
     Deterministic phase grid, then seven starts: the best grid point and
-    ``_RESTARTS`` seeded random phases.  The starts take one sweep of exact
-    coordinate maximization together, each axis once; then all seven take
-    the Newton polish together, one stacked ``eigh`` per step.
+    ``_RESTARTS`` seeded random phases.  The starts take one sampled
+    coordinate sweep together (``_ascend``), each axis once; then all seven
+    take the Newton polish together, one stacked ``eigh`` per step, and the
+    polish alone makes and certifies the value.
     Ties on the grid break toward the first index in row-major phase order,
     and ties between starts toward the grid start, so results are
-    reproducible.  ``converged`` is the polish's certificate at the winning
-    point.  A lift whose l1 sum at the radius is not finite raises
-    ``NumericFailureError``.
+    reproducible.  The value is |p| at ``phases``, capped at the l1 sum of
+    the weights, which bounds sup |p|.  ``converged`` is the polish's
+    certificate at the winning point.  A lift whose l1 sum at the radius is
+    not finite raises ``NumericFailureError``.
     """
     if not 0 < radius <= 1:
         raise ValueError(f"radius must lie in (0, 1], got {radius}")
@@ -520,7 +491,10 @@ def torus_sup(
     # argmax keeps the first of equal values, so the grid start wins ties
     best = int(np.argmax(values))
     phases = {v: float(theta[best, a] % (2 * np.pi)) for a, v in enumerate(variables)}
-    return TorusSupResult(float(values[best]), phases, radius, bool(certified[best]))
+    # sup |p| <= sum |w_m|, so a value above the sum is rounding in |p|, as
+    # where a sampled phase of a near-constant modulus rounds one ulp high
+    value = min(float(values[best]), float(np.abs(weights).sum()))
+    return TorusSupResult(value, phases, radius, bool(certified[best]))
 
 
 # auto_grid's point budget and its range of grid sizes per variable.

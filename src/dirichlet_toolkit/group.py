@@ -427,12 +427,13 @@ def is_invariant(
 def phi_restrict(
     f: TruncatedDirichletSeries, index_set, table: PrimeTable
 ) -> TruncatedDirichletSeries:
-    """Keep exactly the coefficients supported on the semigroup of the index set."""
+    """Keep exactly the coefficients supported on the semigroup of the index
+    set; TableTooSmallError for a stored n beyond the table."""
     index_set = set(index_set)
     out = {
         n: c
         for n, c in f.coeffs.items()
-        if table.semigroup_member(n, index_set)
+        if all(i in index_set for i, _ in _entries(n, table))
     }
     return TruncatedDirichletSeries(f.window, out, f.mode)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from . import scalars
-from .errors import NotInvertibleError, NumericFailureError
+from .errors import NotInvertibleError, NumericFailureError, TableTooSmallError
 from .primes import PrimeTable
 from .scalars import EXACT, FLOAT, ExactComplex, _exact
 
@@ -204,9 +204,10 @@ class TruncatedDirichletSeries:
         return TruncatedDirichletSeries(w, b, self.mode)
 
     def dilate(self, r, table: PrimeTable):
-        """Multiply each coefficient by r^Omega(n)."""
+        """Multiply each coefficient by r^Omega(n); TableTooSmallError for a
+        window beyond the table."""
         if self.window > table.bound:
-            raise ValueError("prime table does not cover the window")
+            raise TableTooSmallError(f"table bound {table.bound} below series window {self.window}")
         r = scalars.coerce(r, self.mode)
         out = {}
         for n, c in self.coeffs.items():

@@ -484,9 +484,12 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 42, trials: int | None = None) -> SuiteResult:
-    """Run suite ``name`` on ``random.Random(seed)``; ``trials=None`` takes its default."""
+    """Run suite ``name`` on ``random.Random(seed)``; ``trials=None`` takes its
+    default, and a negative count raises ``ValueError``."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    if trials is not None and trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     body, default_trials = SUITES[name]
     result = SuiteResult(name, default_trials if trials is None else trials, seed)
     t0 = time.perf_counter()

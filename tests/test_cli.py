@@ -352,6 +352,13 @@ def test_verify_unknown_suite():
     assert run(["verify", "--suite", "nope"]) == 2
 
 
+def test_verify_rejects_a_negative_trial_count(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "perron", "--trials", "-3", "--out", str(out)]) == 2
+    assert "trials must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- analyze --------------------------------------------------------------
 
 

@@ -267,6 +267,14 @@ def test_is_invariant_names_the_table_when_the_support_passes_its_sieve():
         is_invariant(_PAST_THE_SIEVE, grp, PrimeTable(10))
 
 
+def test_phi_restrict_names_the_table_when_the_support_passes_its_sieve():
+    with pytest.raises(TableTooSmallError, match="n = 25 beyond the prime table's sieve bound 10"):
+        phi_restrict(_PAST_THE_SIEVE, {1, 3}, PrimeTable(10))
+    # the stored n, not the window, must lie in the sieve
+    f = TruncatedDirichletSeries(30, {6: ExactComplex(1), 5: ExactComplex(2)})
+    assert phi_restrict(f, {1, 2}, PrimeTable(10)).support() == [6]
+
+
 def test_group_average_matches_projection(table):
     grp = PermutationGroup.from_cycles("(1 2)", "(2 3)")
     f = TruncatedDirichletSeries(

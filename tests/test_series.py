@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirichlet_toolkit import ExactComplex, PrimeTable, TruncatedDirichletSeries
-from dirichlet_toolkit.errors import ModeMismatchError, NotInvertibleError
+from dirichlet_toolkit.errors import ModeMismatchError, NotInvertibleError, TableTooSmallError
 from dirichlet_toolkit.scalars import EXACT, FLOAT
 
 WINDOW = 48
@@ -306,6 +306,12 @@ def test_dilate_weights_by_omega():
     assert g.coefficient(1) == ExactComplex(1)
     assert g.coefficient(2) == ExactComplex(Fraction(1, 3))
     assert g.coefficient(12) == ExactComplex(Fraction(1, 27))
+
+
+def test_dilate_names_the_table_when_the_window_passes_its_sieve():
+    f = TruncatedDirichletSeries(30, {2: ExactComplex(1)})
+    with pytest.raises(TableTooSmallError, match="table bound 10 below series window 30"):
+        f.dilate(Fraction(1, 2), PrimeTable(10))
 
 
 def test_dilate_is_multiplicative():

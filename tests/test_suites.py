@@ -36,6 +36,11 @@ def test_unknown_suite_lists_the_known_ones():
     assert all(name in str(exc.value) for name in suites.SUITES)
 
 
+def test_negative_trials_run_nothing_and_raise():
+    with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
+        suites.run_suite("perron", trials=-3)
+
+
 def test_json_record_keeps_its_keys_in_order():
     doc = suites.run_suite("orbit-sums").to_json_dict()
     assert list(doc) == ["suite", "trials", "seed", "failures", "elapsed", "info"]
